@@ -6,6 +6,9 @@
 # plus style/lint gates:
 #   cargo fmt --all -- --check
 #   cargo clippy --workspace --all-targets -- -D warnings
+# plus the benchmark package (a separate Cargo workspace):
+#   cargo build --release --offline --manifest-path perfbench/Cargo.toml
+#   cargo test --release --offline --manifest-path perfbench/Cargo.toml
 #
 # With --bench-smoke, additionally runs the two headline bench harnesses
 # at minimum scale into a scratch directory and validates the
@@ -72,6 +75,13 @@ cargo fmt --all -- --check
 
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# perfbench/ is its own Cargo workspace, so the steps above never compile
+# it; build it and run its self-tests so an API change cannot silently
+# break the repository benchmark.
+echo "== benchmark package: build + self-tests =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 SCRATCH_DIRS=()
 cleanup() { rm -rf "${SCRATCH_DIRS[@]:-}"; }

@@ -41,7 +41,8 @@ fn main() {
 
     // Path 1: one-sided update — lookup (cached geometry: direct entry
     // write once the address is known), WRITE value + version.
-    let addr = match table.remote_lookup(&qp, 1) {
+    let addr = match table.try_remote_lookup(&qp, 1).expect("remote lookup against a crashed node")
+    {
         LookupResult::Found { addr, .. } => addr,
         _ => unreachable!("populated"),
     };

@@ -35,7 +35,8 @@ fn main() {
                         vtime::take();
                         for _ in 0..per_thread {
                             let off = r.gen_range(0..(region_size - payload) / 64) * 64;
-                            qp.read(GlobalAddr::new(0, off), &mut buf);
+                            qp.try_read(GlobalAddr::new(0, off), &mut buf)
+                                .expect("RDMA READ against a crashed node");
                         }
                         vtime::take()
                     }));

@@ -48,8 +48,17 @@ fn bench_rdma(c: &mut Criterion) {
     });
     let qp = cluster.qp(1);
     let mut buf = [0u8; 64];
-    c.bench_function("rdma_read_64B", |b| b.iter(|| qp.read(GlobalAddr::new(0, 4096), &mut buf)));
-    c.bench_function("rdma_cas", |b| b.iter(|| qp.cas_u64(GlobalAddr::new(0, 0), 0, 0)));
+    c.bench_function("rdma_read_64B", |b| {
+        b.iter(|| {
+            qp.try_read(GlobalAddr::new(0, 4096), &mut buf)
+                .expect("RDMA READ against a crashed node")
+        })
+    });
+    c.bench_function("rdma_cas", |b| {
+        b.iter(|| {
+            qp.try_cas_u64(GlobalAddr::new(0, 0), 0, 0).expect("RDMA CAS against a crashed node")
+        })
+    });
 }
 
 fn bench_stores(c: &mut Criterion) {
@@ -81,7 +90,9 @@ fn bench_stores(c: &mut Criterion) {
         let mut k = 0u64;
         b.iter(|| {
             k = (k + 7) % 20_000;
-            criterion::black_box(table.remote_lookup(&qp, k));
+            criterion::black_box(
+                table.try_remote_lookup(&qp, k).expect("remote lookup against a crashed node"),
+            );
         })
     });
 
@@ -126,7 +137,7 @@ fn bench_cache_concurrent(c: &mut Criterion) {
     let mcache = MutexLocationCache::new(4096, 1024);
     let qp = cluster.qp(1);
     for k in 1..=KEYS {
-        cache.lookup(&qp, &table, k);
+        cache.try_lookup(&qp, &table, k).expect("cached lookup against a crashed node");
         mcache.lookup(&qp, &table, k);
     }
 
@@ -141,7 +152,11 @@ fn bench_cache_concurrent(c: &mut Criterion) {
                     let mut k = t * 1_777;
                     for _ in 0..per {
                         k = k % KEYS + 1;
-                        criterion::black_box(cache.lookup(&qp, table, k));
+                        criterion::black_box(
+                            cache
+                                .try_lookup(&qp, table, k)
+                                .expect("cached lookup against a crashed node"),
+                        );
                         k += 13;
                     }
                 });
@@ -194,7 +209,9 @@ fn bench_cache_concurrent(c: &mut Criterion) {
         let mut k = 0u64;
         b.iter(|| {
             k = k % KEYS + 1;
-            criterion::black_box(cold.lookup(&qp, &table, k));
+            criterion::black_box(
+                cold.try_lookup(&qp, &table, k).expect("cached lookup against a crashed node"),
+            );
             k += 97;
         })
     });
@@ -219,7 +236,7 @@ fn bench_verbs(c: &mut Criterion) {
             let qp = cluster.qp(0);
             while !stop.load(Ordering::Relaxed) {
                 if let Some(m) = cluster.verbs().recv_timeout(0, PING, Duration::from_millis(2)) {
-                    qp.send(m.from, PONG, m.payload);
+                    qp.try_send(m.from, PONG, m.payload).expect("SEND to a crashed node");
                 }
             }
         })
@@ -227,7 +244,7 @@ fn bench_verbs(c: &mut Criterion) {
     let qp = cluster.qp(1);
     c.bench_function("verbs_ping_pong", |b| {
         b.iter(|| {
-            qp.send(0, PING, vec![42]);
+            qp.try_send(0, PING, vec![42]).expect("SEND to a crashed node");
             criterion::black_box(cluster.verbs().recv(1, PONG));
         })
     });

@@ -198,7 +198,10 @@ impl KvBench {
             TableImpl::Cluster(t) => match self.system {
                 KvSystem::DrtmKvCache { .. } => {
                     let cache = &self.caches[client as usize];
-                    match cache.lookup(&qp, t, key) {
+                    match cache
+                        .try_lookup(&qp, t, key)
+                        .expect("cached lookup against a crashed node")
+                    {
                         Some((addr, slot, reads)) => match t.remote_read_entry(&qp, addr, &slot) {
                             Some(_) => (true, reads),
                             None => {
@@ -209,7 +212,10 @@ impl KvBench {
                         None => (false, 0),
                     }
                 }
-                _ => match t.remote_lookup(&qp, key) {
+                _ => match t
+                    .try_remote_lookup(&qp, key)
+                    .expect("remote lookup against a crashed node")
+                {
                     LookupResult::Found { addr, slot, reads } => {
                         let ok = t.remote_read_entry(&qp, addr, &slot).is_some();
                         (ok, reads)

@@ -75,7 +75,7 @@ pub fn smallbank_run_with(cfg: SmallBankConfig, iters: u64, warmup: u64) -> (Rep
         iters,
         move |node, wid| {
             let mut w = sb2.worker(node, wid);
-            move |_| w.run_one()
+            move |_| w.try_run_one().expect("transaction hit a crashed node")
         },
         warmup,
     )

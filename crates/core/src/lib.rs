@@ -11,7 +11,7 @@
 //!   with the Start/LocalTX/Commit phase structure of Figure 2/3, the
 //!   lease-based shared locks of §4.2/4.3, and the contention-managed
 //!   fallback handler of §6.2;
-//! * [`Worker::read_only`] — the HTM-free read-only scheme of §4.5;
+//! * [`Worker::try_read_only`] — the HTM-free read-only scheme of §4.5;
 //! * [`SoftTimer`] — the softtime service of §6.1;
 //! * [`LogSlot`]/[`recover_node`] — cooperative logging and recovery for
 //!   durability (§4.6, Figure 7);
@@ -46,10 +46,9 @@ pub use membership::{
     LEAVE_MID_DRAIN_SITE, MAX_JOURNAL_RANGES, MEMBERSHIP_JOURNAL_BYTES,
 };
 pub use record::{
-    local_read, local_write, remote_lock_write, remote_lock_write_via, remote_read,
-    remote_read_via, remote_unlock, remote_unlock_via, remote_write_back, remote_write_back_via,
-    try_remote_unlock, try_remote_write_back, FetchedRecord, LockConflict, RecordAddr,
-    ABORT_LEASED, ABORT_LEASE_EXPIRED, ABORT_LOCKED,
+    local_read, local_write, remote_lock_write, remote_read, try_remote_unlock,
+    try_remote_write_back, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASED,
+    ABORT_LEASE_EXPIRED, ABORT_LOCKED,
 };
 pub use recovery::{recover_node, RecoveryReport};
 pub use ro::{RoCtx, RoRestart};

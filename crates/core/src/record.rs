@@ -142,19 +142,10 @@ fn fetch_entry(qp: &Qp, rec: &RecordAddr) -> Result<(EntryHeader, Vec<u8>), Lock
 ///   hence no false abort of local readers in this case);
 /// * expired lease → CAS reclaims it with the new end time;
 /// * write-locked → conflict.
+///
+/// `local_cas = true` issues the state-word CAS with the CPU instead of
+/// the NIC (fallback handler / read-only transactions on a GLOB NIC).
 pub fn remote_read(
-    qp: &Qp,
-    rec: &RecordAddr,
-    end_us: u64,
-    now_us: u64,
-    delta_us: u64,
-) -> Result<FetchedRecord, LockConflict> {
-    remote_read_via(qp, rec, end_us, now_us, delta_us, false)
-}
-
-/// [`remote_read`] with an explicit CAS path: `local_cas = true` uses the
-/// CPU CAS (fallback handler / read-only transactions on a GLOB NIC).
-pub fn remote_read_via(
     qp: &Qp,
     rec: &RecordAddr,
     end_us: u64,
@@ -191,20 +182,9 @@ pub fn remote_read_via(
 
 /// The locking half of `REMOTE_WRITE` (Figure 5): acquire the exclusive
 /// lock as machine `owner`, then fetch the record (its version is needed
-/// for the write-back).
+/// for the write-back). `local_cas` picks the CAS path as in
+/// [`remote_read`].
 pub fn remote_lock_write(
-    qp: &Qp,
-    rec: &RecordAddr,
-    owner: u8,
-    now_us: u64,
-    delta_us: u64,
-) -> Result<FetchedRecord, LockConflict> {
-    remote_lock_write_via(qp, rec, owner, now_us, delta_us, false)
-}
-
-/// [`remote_lock_write`] with an explicit CAS path (see
-/// [`remote_read_via`]).
-pub fn remote_lock_write_via(
     qp: &Qp,
     rec: &RecordAddr,
     owner: u8,
@@ -240,28 +220,32 @@ pub fn remote_lock_write_via(
 /// length, value) with one-sided WRITEs, then release the exclusive lock
 /// by writing INIT to the state word.
 ///
-/// The value lands *before* the unlock so no reader can observe the new
-/// state word with the old value.
-pub fn remote_write_back(qp: &Qp, rec: &RecordAddr, new_version: u32, value: &[u8]) {
-    try_remote_write_back(qp, rec, new_version, value)
-        .expect("remote write-back against a crashed node");
-}
-
-/// Fallible [`remote_write_back`]: the target may die between WRITEs.
+/// The target may die between WRITEs. The value lands *before* the
+/// version so an interrupted write-back is always redone by recovery's
+/// at-most-once check (a bumped version with a stale value would be
+/// *skipped*, leaving the record torn forever). Readers cannot observe
+/// the intermediate states either way: the record stays write-locked
+/// until the final unlock WRITE.
 ///
-/// The value lands *before* the version so an interrupted write-back is
-/// always redone by recovery's at-most-once check (a bumped version with
-/// a stale value would be *skipped*, leaving the record torn forever).
-/// Readers cannot observe the intermediate states either way: the record
-/// stays write-locked until the final unlock WRITE.
+/// With `local = true` the fallback handler applies a local update with
+/// coherent stores instead of loopback RDMA; that path cannot fail.
 pub fn try_remote_write_back(
     qp: &Qp,
     rec: &RecordAddr,
     new_version: u32,
     value: &[u8],
+    local: bool,
 ) -> Result<(), FabricError> {
     debug_assert!(value.len() <= rec.value_cap, "value exceeds table capacity");
     let a = rec.addr;
+    if local {
+        let region = qp.cluster().node(a.node).region();
+        region.write_nt(a.offset + 12, &new_version.to_le_bytes());
+        region.write_nt(a.offset + 24, &(value.len() as u32).to_le_bytes());
+        region.write_nt(a.offset + ENTRY_HEADER_BYTES, value);
+        region.write_u64_nt(a.offset, INIT);
+        return Ok(());
+    }
     // Length, padding and value are contiguous: one WRITE covers them.
     let mut buf = Vec::with_capacity(8 + value.len());
     buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
@@ -273,45 +257,17 @@ pub fn try_remote_write_back(
 }
 
 /// Releases an exclusive lock without writing data (the ABORT path).
-pub fn remote_unlock(qp: &Qp, rec: &RecordAddr) {
-    qp.write_u64(rec.state_addr(), INIT);
-}
-
-/// Fallible [`remote_unlock`]: releasing a lock *on* a crashed machine
-/// fails, which is fine — the whole machine's lock table dies with it
-/// and `recover_node` sweeps whatever our logs say we held there.
-pub fn try_remote_unlock(qp: &Qp, rec: &RecordAddr) -> Result<(), FabricError> {
-    qp.try_write_u64(rec.state_addr(), INIT)
-}
-
-/// [`remote_unlock`] with an explicit path: a local release is a plain
-/// coherent store.
-pub fn remote_unlock_via(qp: &Qp, rec: &RecordAddr, local: bool) {
+///
+/// Releasing a lock *on* a crashed machine fails, which is fine — the
+/// whole machine's lock table dies with it and `recover_node` sweeps
+/// whatever our logs say we held there. A `local` release is a plain
+/// coherent store and cannot fail.
+pub fn try_remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {
     if local {
         qp.cluster().node(rec.addr.node).region().write_u64_nt(rec.addr.offset, INIT);
-    } else {
-        qp.write_u64(rec.state_addr(), INIT);
+        return Ok(());
     }
-}
-
-/// [`remote_write_back`] with an explicit path: the fallback handler
-/// applies local updates with coherent stores instead of loopback RDMA.
-pub fn remote_write_back_via(
-    qp: &Qp,
-    rec: &RecordAddr,
-    new_version: u32,
-    value: &[u8],
-    local: bool,
-) {
-    if local {
-        let region = qp.cluster().node(rec.addr.node).region();
-        region.write_nt(rec.addr.offset + 12, &new_version.to_le_bytes());
-        region.write_nt(rec.addr.offset + 24, &(value.len() as u32).to_le_bytes());
-        region.write_nt(rec.addr.offset + ENTRY_HEADER_BYTES, value);
-        region.write_u64_nt(rec.addr.offset, INIT);
-    } else {
-        remote_write_back(qp, rec, new_version, value);
-    }
+    qp.try_write_u64(rec.state_addr(), INIT)
 }
 
 /// `LOCAL_READ` (Figure 6): inside the HTM region, check the state word
@@ -380,7 +336,7 @@ mod tests {
             drtm_htm::Executor::new(HtmConfig::default(), Arc::new(drtm_htm::HtmStats::new()));
         table.insert(&exec, cluster.node(0).region(), 1, b"v0").unwrap();
         let qp = cluster.qp(1);
-        let addr = match table.remote_lookup(&qp, 1) {
+        let addr = match table.try_remote_lookup(&qp, 1).unwrap() {
             drtm_memstore::LookupResult::Found { addr, .. } => addr,
             _ => panic!("populated"),
         };
@@ -392,12 +348,12 @@ mod tests {
     fn read_lease_then_share() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        let r1 = remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        let r1 = remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         assert_eq!(r1.value, b"v0");
         assert_eq!(r1.lease_end_us, 5000);
         // Second reader shares the existing lease (keeps its end).
         let cas_before = cluster.counters().snapshot().cas;
-        let r2 = remote_read(&qp, &rec, 7000, 1000, DELTA).unwrap();
+        let r2 = remote_read(&qp, &rec, 7000, 1000, DELTA, false).unwrap();
         assert_eq!(r2.lease_end_us, 5000);
         assert_eq!(cluster.counters().snapshot().cas, cas_before + 1, "share = one failed CAS");
     }
@@ -406,14 +362,14 @@ mod tests {
     fn expired_lease_reclaimed_by_reader_and_writer() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        remote_read(&qp, &rec, 2000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 2000, 1000, DELTA, false).unwrap();
         // Reader after expiry installs a fresh lease.
-        let r = remote_read(&qp, &rec, 9000, 5000, DELTA).unwrap();
+        let r = remote_read(&qp, &rec, 9000, 5000, DELTA, false).unwrap();
         assert_eq!(r.lease_end_us, 9000);
         // Writer after expiry takes the exclusive lock.
-        let w = remote_lock_write(&qp, &rec, 3, 20_000, DELTA).unwrap();
+        let w = remote_lock_write(&qp, &rec, 3, 20_000, DELTA, false).unwrap();
         assert_eq!(w.value, b"v0");
-        let st = LockState(qp.read_u64(rec.addr));
+        let st = LockState(qp.try_read_u64(rec.addr).unwrap());
         assert!(st.is_write_locked());
         assert_eq!(st.owner(), 3);
     }
@@ -422,19 +378,19 @@ mod tests {
     fn lease_blocks_writer_and_lock_blocks_everyone() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         assert_eq!(
-            remote_lock_write(&qp, &rec, 3, 1000, DELTA),
+            remote_lock_write(&qp, &rec, 3, 1000, DELTA, false),
             Err(LockConflict::Leased { end_us: 5000 })
         );
         // Take the lock (after expiry) and verify readers/writers bounce.
-        remote_lock_write(&qp, &rec, 3, 20_000, DELTA).unwrap();
+        remote_lock_write(&qp, &rec, 3, 20_000, DELTA, false).unwrap();
         assert_eq!(
-            remote_read(&qp, &rec, 30_000, 25_000, DELTA),
+            remote_read(&qp, &rec, 30_000, 25_000, DELTA, false),
             Err(LockConflict::WriteLocked { owner: 3 })
         );
         assert_eq!(
-            remote_lock_write(&qp, &rec, 4, 25_000, DELTA),
+            remote_lock_write(&qp, &rec, 4, 25_000, DELTA, false),
             Err(LockConflict::WriteLocked { owner: 3 })
         );
     }
@@ -443,9 +399,9 @@ mod tests {
     fn write_back_updates_and_unlocks() {
         let (cluster, table, rec) = setup();
         let qp = cluster.qp(1);
-        let w = remote_lock_write(&qp, &rec, 3, 1000, DELTA).unwrap();
-        remote_write_back(&qp, &rec, w.header.version + 1, b"new value!");
-        let st = LockState(qp.read_u64(rec.addr));
+        let w = remote_lock_write(&qp, &rec, 3, 1000, DELTA, false).unwrap();
+        try_remote_write_back(&qp, &rec, w.header.version + 1, b"new value!", false).unwrap();
+        let st = LockState(qp.try_read_u64(rec.addr).unwrap());
         assert!(st.is_init());
         // Visible to local reads.
         let region = cluster.node(0).region();
@@ -461,9 +417,9 @@ mod tests {
     fn abort_unlock_restores_init() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        remote_lock_write(&qp, &rec, 9, 1000, DELTA).unwrap();
-        remote_unlock(&qp, &rec);
-        assert!(LockState(qp.read_u64(rec.addr)).is_init());
+        remote_lock_write(&qp, &rec, 9, 1000, DELTA, false).unwrap();
+        try_remote_unlock(&qp, &rec, false).unwrap();
+        assert!(LockState(qp.try_read_u64(rec.addr).unwrap()).is_init());
     }
 
     #[test]
@@ -473,13 +429,13 @@ mod tests {
         let region = cluster.node(0).region();
         let cfg = HtmConfig::default();
         // Leased: local read proceeds (HTM protects it).
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         assert!(local_read(&mut txn, e.offset).is_ok());
         drop(txn);
         // Write-locked: local read explicitly aborts.
-        remote_lock_write(&qp, &rec, 2, 20_000, DELTA).unwrap();
+        remote_lock_write(&qp, &rec, 2, 20_000, DELTA, false).unwrap();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         assert_eq!(local_read(&mut txn, e.offset), Err(Abort::Explicit(ABORT_LOCKED)));
@@ -491,7 +447,7 @@ mod tests {
         let qp = cluster.qp(1);
         let region = cluster.node(0).region();
         let cfg = HtmConfig::default();
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         // Valid lease blocks the local write.
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
@@ -505,7 +461,7 @@ mod tests {
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         local_write(&mut txn, e.offset, b"w", 20_000, DELTA).unwrap();
         txn.commit().unwrap();
-        assert!(LockState(qp.read_u64(rec.addr)).is_init(), "expired lease cleared");
+        assert!(LockState(qp.try_read_u64(rec.addr).unwrap()).is_init(), "expired lease cleared");
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         assert_eq!(local_read(&mut txn, e.offset).unwrap().1, b"w");
@@ -517,13 +473,13 @@ mod tests {
         cluster.faults().kill(0);
         let qp = cluster.qp(1);
         let dead = Err(LockConflict::PeerDead { node: 0 });
-        assert_eq!(remote_lock_write(&qp, &rec, 3, 1000, DELTA), dead);
-        assert_eq!(remote_read(&qp, &rec, 5000, 1000, DELTA), dead);
-        assert!(try_remote_unlock(&qp, &rec).is_err());
-        assert!(try_remote_write_back(&qp, &rec, 1, b"x").is_err());
+        assert_eq!(remote_lock_write(&qp, &rec, 3, 1000, DELTA, false), dead);
+        assert_eq!(remote_read(&qp, &rec, 5000, 1000, DELTA, false), dead);
+        assert!(try_remote_unlock(&qp, &rec, false).is_err());
+        assert!(try_remote_write_back(&qp, &rec, 1, b"x", false).is_err());
         // Memory of the corpse is untouched by any of the failures.
         cluster.faults().revive(0);
-        let r = remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        let r = remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         assert_eq!(r.value, b"v0");
     }
 
@@ -538,7 +494,7 @@ mod tests {
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         local_read(&mut txn, e.offset).unwrap();
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap(); // CAS installs lease
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap(); // CAS installs lease
         assert_eq!(txn.commit(), Err(Abort::Conflict));
     }
 }

@@ -23,6 +23,7 @@
 //! the record's current version — the ordering role §4.6 assigns to the
 //! per-record version.
 
+use drtm_memstore::{JournaledLock, MigrationJournal};
 use drtm_rdma::{Cluster, NodeId};
 
 use crate::alloc_layout::NodeLayout;
@@ -82,12 +83,14 @@ pub fn recover_node(
                 report.released_locks += 1;
             }
         } else {
-            let st = LockState(qp.read_u64(rec.addr));
+            let st =
+                LockState(qp.try_read_u64(rec.addr).expect("RDMA READ against a crashed node"));
             // CAS so a concurrent release cannot be clobbered (and so
             // racing recoverers count each release exactly once).
             if st.is_write_locked()
                 && st.owner() == crashed as u8
-                && qp.cas_u64(rec.addr, st.0, INIT) == st.0
+                && qp.try_cas_u64(rec.addr, st.0, INIT).expect("RDMA CAS against a crashed node")
+                    == st.0
             {
                 report.released_locks += 1;
             }
@@ -99,7 +102,8 @@ pub fn recover_node(
             region.read_nt(rec.addr.offset + 12, &mut vb);
         } else {
             let mut tmp = vec![0u8; 4];
-            qp.read(drtm_rdma::GlobalAddr::new(rec.addr.node, rec.addr.offset + 12), &mut tmp);
+            qp.try_read(drtm_rdma::GlobalAddr::new(rec.addr.node, rec.addr.offset + 12), &mut tmp)
+                .expect("RDMA READ against a crashed node");
             vb.copy_from_slice(&tmp);
         }
         u32::from_le_bytes(vb)
@@ -142,11 +146,10 @@ pub fn recover_node(
                     if cur.wrapping_sub(u.version) as i32 >= 0 {
                         report.skipped_updates += 1;
                         release_if_owned(&u.rec, &mut report);
-                    } else if u.rec.addr.node == crashed {
-                        record::remote_write_back_via(&qp, &u.rec, u.version, &u.value, true);
-                        report.redone_updates += 1;
                     } else {
-                        record::remote_write_back(&qp, &u.rec, u.version, &u.value);
+                        let local = u.rec.addr.node == crashed;
+                        record::try_remote_write_back(&qp, &u.rec, u.version, &u.value, local)
+                            .expect("remote write-back against a crashed node");
                         report.redone_updates += 1;
                     }
                 }
@@ -177,20 +180,19 @@ pub fn recover_node(
     // purge delete, the recorded source-side migration lock is still
     // held — release it (idempotently, by CAS on the exact logged word)
     // and clear the journal.
-    let j = layout.migration_journal_off;
-    if region.read_u64_nt(j) == 1 {
-        let src = region.read_u64_nt(j + 8) as NodeId;
-        let off = region.read_u64_nt(j + 16) as usize;
-        let word = region.read_u64_nt(j + 24);
+    let journal = MigrationJournal::at(layout.migration_journal_off);
+    if let Some(JournaledLock { src, off, word }) = journal.read_armed(region) {
         let released = if src == crashed || cluster.faults().is_crashed(src) {
             cluster.node(src).region().cas_u64_nt(off, word, INIT) == word
         } else {
-            qp.cas_u64(drtm_rdma::GlobalAddr::new(src, off), word, INIT) == word
+            qp.try_cas_u64(drtm_rdma::GlobalAddr::new(src, off), word, INIT)
+                .expect("RDMA CAS against a crashed node")
+                == word
         };
         if released {
             report.released_locks += 1;
         }
-        region.write_u64_nt(j, 0);
+        journal.clear(region);
     }
     report
 }

@@ -57,7 +57,7 @@ impl RoCtx<'_> {
     /// the NIC provides GLOB-level atomics (§6.3).
     pub fn acquire(&mut self, rec: &RecordAddr) -> Result<Vec<u8>, RoRestart> {
         let local = self.worker.can_local_cas_pub(rec);
-        match record::remote_read_via(
+        match record::remote_read(
             self.worker.qp(),
             rec,
             self.end_us,
@@ -126,18 +126,10 @@ impl Worker {
     /// with one softtime read. Retries with a fresh end time until the
     /// confirmation succeeds.
     ///
-    /// # Panics
-    ///
-    /// If a record's machine is crashed (use [`Worker::try_read_only`]
-    /// under the chaos harness).
-    pub fn read_only<T>(&mut self, body: impl FnMut(&mut RoCtx<'_>) -> Result<T, RoRestart>) -> T {
-        self.try_read_only(body).expect("read-only transaction hit a crashed peer")
-    }
-
-    /// [`Worker::read_only`] with typed dead-peer reporting: instead of
-    /// retrying forever against a record whose machine is gone, the
-    /// transaction aborts with [`TxnError::PeerDead`] and can be retried
-    /// once the node is recovered.
+    /// Dead peers are reported typed: instead of retrying forever
+    /// against a record whose machine is gone, the transaction aborts
+    /// with [`TxnError::PeerDead`] and can be retried once the node is
+    /// recovered.
     pub fn try_read_only<T>(
         &mut self,
         mut body: impl FnMut(&mut RoCtx<'_>) -> Result<T, RoRestart>,
@@ -190,11 +182,6 @@ impl Worker {
     /// The lease CASes and fetches are posted together, so the QP's
     /// doorbell batching amortises their base latency per destination
     /// like the Start phase.
-    pub fn read_only_records(&mut self, recs: &[RecordAddr]) -> Vec<Vec<u8>> {
-        self.try_read_only_records(recs).expect("read-only transaction hit a crashed peer")
-    }
-
-    /// [`Worker::read_only_records`] with typed dead-peer reporting.
     pub fn try_read_only_records(&mut self, recs: &[RecordAddr]) -> Result<Vec<Vec<u8>>, TxnError> {
         let recs = recs.to_vec();
         self.try_read_only(move |ctx| recs.iter().map(|r| ctx.acquire(r)).collect())
@@ -262,7 +249,7 @@ mod tests {
 
     fn rec_of(sys: &std::sync::Arc<DrTm>, table: &ClusterHash, key: u64) -> RecordAddr {
         let qp = sys.cluster().qp(1);
-        match table.remote_lookup(&qp, key) {
+        match table.try_remote_lookup(&qp, key).unwrap() {
             LookupResult::Found { addr, .. } => RecordAddr::new(addr, 8),
             _ => panic!("populated"),
         }
@@ -275,16 +262,18 @@ mod tests {
         let (sys, table, tree, _t) = setup();
         let mut w = sys.worker(0, 0);
         let table2 = table.clone();
-        let got = w.read_only(|ctx| {
-            let pairs = ctx.tree_scan(&tree, 10, 12, 10);
-            let mut sum = 0u64;
-            for (k, v) in pairs {
-                assert_eq!(v, k * 100);
-                let rec = rec_of(ctx.worker().system(), &table2, k);
-                sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
-            }
-            Ok(sum)
-        });
+        let got = w
+            .try_read_only(|ctx| {
+                let pairs = ctx.tree_scan(&tree, 10, 12, 10);
+                let mut sum = 0u64;
+                for (k, v) in pairs {
+                    assert_eq!(v, k * 100);
+                    let rec = rec_of(ctx.worker().system(), &table2, k);
+                    sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
+                }
+                Ok(sum)
+            })
+            .unwrap();
         assert_eq!(got, 10 * 10 + 11 * 10 + 12 * 10);
         assert_eq!(sys.stats().snapshot().ro_committed, 1);
     }
@@ -296,14 +285,14 @@ mod tests {
         // A remote writer holds the record briefly.
         let qp = sys.cluster().qp(1);
         let now = crate::time::softtime_nt(sys.cluster().node(1).region());
-        crate::record::remote_lock_write(&qp, &rec, 1, now, 100).unwrap();
+        crate::record::remote_lock_write(&qp, &rec, 1, now, 100, false).unwrap();
         let sys2 = sys.clone();
         let unlocker = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            crate::record::remote_unlock(&sys2.cluster().qp(1), &rec);
+            crate::record::try_remote_unlock(&sys2.cluster().qp(1), &rec, false).unwrap();
         });
         let mut w = sys.worker(0, 0);
-        let v = w.read_only_records(&[rec]);
+        let v = w.try_read_only_records(&[rec]).unwrap();
         assert_eq!(u64::from_le_bytes(v[0][..8].try_into().unwrap()), 50);
         unlocker.join().unwrap();
         assert!(sys.stats().snapshot().ro_retries > 0, "the RO txn had to restart");
@@ -324,7 +313,7 @@ mod tests {
         })
         .unwrap();
         let mut ro = sys.worker(0, 0);
-        let v = ro.read_only_records(&[rec]);
+        let v = ro.try_read_only_records(&[rec]).unwrap();
         assert_eq!(u64::from_le_bytes(v[0][..8].try_into().unwrap()), 71);
     }
 
@@ -338,18 +327,20 @@ mod tests {
         let mut w = sys.worker(0, 0);
         let recs: Vec<RecordAddr> = (0..8).map(|k| rec_of(&sys, &table, k)).collect();
         for _ in 0..10 {
-            let _ = w.read_only_records(&recs);
+            let _ = w.try_read_only_records(&recs).unwrap();
         }
         let table2 = table.clone();
-        let sum = w.read_only(|ctx| {
-            let pairs = ctx.tree_scan(&tree, 0, 9, 16);
-            let mut sum = 0u64;
-            for (k, _) in pairs {
-                let rec = rec_of(ctx.worker().system(), &table2, k);
-                sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
-            }
-            Ok(sum)
-        });
+        let sum = w
+            .try_read_only(|ctx| {
+                let pairs = ctx.tree_scan(&tree, 0, 9, 16);
+                let mut sum = 0u64;
+                for (k, _) in pairs {
+                    let rec = rec_of(ctx.worker().system(), &table2, k);
+                    sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
+                }
+                Ok(sum)
+            })
+            .unwrap();
         assert_eq!(sum, (0..=9).map(|k| k * 10).sum::<u64>());
         let after = sys.stats().snapshot();
         assert!(after.ro_committed >= base.ro_committed + 11);

@@ -345,9 +345,10 @@ impl Worker {
     /// release is parked for [`Worker::flush_pending`] so the lock is
     /// still released exactly once when the peer comes back. (If *this*
     /// machine is the dead one, nothing is parked: sweeping its locks is
-    /// the recovery protocol's job.)
-    fn unlock_or_park(&mut self, rec: &RecordAddr) {
-        if record::try_remote_unlock(&self.qp, rec).is_err() && !self.self_crashed() {
+    /// the recovery protocol's job.) A `local` release is a CPU store
+    /// and never parks.
+    fn unlock_or_park(&mut self, rec: &RecordAddr, local: bool) {
+        if record::try_remote_unlock(&self.qp, rec, local).is_err() && !self.self_crashed() {
             self.pending.push(PendingOp { rec: *rec, update: None });
         }
     }
@@ -355,11 +356,7 @@ impl Worker {
     /// Fallback-path lock release: CPU store for CPU-lockable records,
     /// park-on-dead-peer loopback/remote WRITE otherwise.
     fn release_fallback_lock(&mut self, rec: &RecordAddr) {
-        if self.can_local_cas(rec) {
-            record::remote_unlock_via(&self.qp, rec, true);
-        } else {
-            self.unlock_or_park(rec);
-        }
+        self.unlock_or_park(rec, self.can_local_cas(rec));
     }
 
     /// Whether this worker still holds undelivered write-backs/unlocks
@@ -384,9 +381,9 @@ impl Worker {
         for op in ops {
             let r = match &op.update {
                 Some((version, value)) => {
-                    record::try_remote_write_back(&self.qp, &op.rec, *version, value)
+                    record::try_remote_write_back(&self.qp, &op.rec, *version, value, false)
                 }
-                None => record::try_remote_unlock(&self.qp, &op.rec),
+                None => record::try_remote_unlock(&self.qp, &op.rec, false),
             };
             if let Err(e) = r {
                 let node = match e {
@@ -421,7 +418,7 @@ impl Worker {
     fn unlock_writes_traced(&mut self, spec: &TxnSpec) {
         let t0 = vtime::read();
         for rec in &spec.remote_writes {
-            self.unlock_or_park(rec);
+            self.unlock_or_park(rec, false);
         }
         self.sys.trace.phases.add(
             Phase::Commit,
@@ -561,6 +558,7 @@ impl Worker {
                     self.node as u8,
                     now,
                     self.sys.cfg.delta_us,
+                    false,
                 ) {
                     Ok(f) => w_fetched.push(f),
                     Err(c) => {
@@ -588,7 +586,8 @@ impl Worker {
             if ok {
                 for rec in &spec.remote_reads {
                     start_ops += 1;
-                    match record::remote_read(&self.qp, rec, end, now, self.sys.cfg.delta_us) {
+                    match record::remote_read(&self.qp, rec, end, now, self.sys.cfg.delta_us, false)
+                    {
                         Ok(f) => r_fetched.push(f),
                         Err(c) => {
                             match c {
@@ -619,7 +618,7 @@ impl Worker {
                 }
                 let acquired = w_fetched.len();
                 for rec in spec.remote_writes.iter().take(acquired) {
-                    self.unlock_or_park(rec);
+                    self.unlock_or_park(rec, false);
                     start_ops += 1;
                 }
                 self.sys.trace.phases.add(
@@ -840,8 +839,10 @@ impl Worker {
         for ((rec, f), buf) in spec.remote_writes.iter().zip(w_fetched).zip(&w_buf) {
             let new_version = f.header.version.wrapping_add(1);
             let r = match buf {
-                Some(value) => record::try_remote_write_back(&self.qp, rec, new_version, value),
-                None => record::try_remote_unlock(&self.qp, rec),
+                Some(value) => {
+                    record::try_remote_write_back(&self.qp, rec, new_version, value, false)
+                }
+                None => record::try_remote_unlock(&self.qp, rec, false),
             };
             if r.is_err() {
                 if self.self_crashed() {
@@ -954,7 +955,7 @@ impl Worker {
                 let f = loop {
                     let now2 = softtime_nt(&region);
                     let r = if it.write {
-                        record::remote_lock_write_via(
+                        record::remote_lock_write(
                             &self.qp,
                             &it.rec,
                             self.node as u8,
@@ -963,14 +964,7 @@ impl Worker {
                             use_local,
                         )
                     } else {
-                        record::remote_read_via(
-                            &self.qp,
-                            &it.rec,
-                            end,
-                            now2,
-                            cfg.delta_us,
-                            use_local,
-                        )
+                        record::remote_read(&self.qp, &it.rec, end, now2, cfg.delta_us, use_local)
                     };
                     fb_ops += 1;
                     match r {
@@ -1174,14 +1168,16 @@ impl Worker {
                     {
                         let use_local = self.can_local_cas(rec);
                         match buf {
-                            Some(v) => record::remote_write_back_via(
+                            Some(v) => record::try_remote_write_back(
                                 &self.qp,
                                 rec,
                                 f.header.version.wrapping_add(1),
                                 v,
                                 use_local,
-                            ),
-                            None => record::remote_unlock_via(&self.qp, rec, use_local),
+                            )
+                            .expect("remote write-back against a crashed node"),
+                            None => record::try_remote_unlock(&self.qp, rec, use_local)
+                                .expect("RDMA WRITE against a crashed node"),
                         }
                         if self.crashes_at(CrashPoint::FallbackMidUnlock) {
                             return Err(TxnError::SimulatedCrash);
@@ -1196,8 +1192,10 @@ impl Worker {
                     {
                         let new_version = f.header.version.wrapping_add(1);
                         let r = match buf {
-                            Some(v) => record::try_remote_write_back(&self.qp, rec, new_version, v),
-                            None => record::try_remote_unlock(&self.qp, rec),
+                            Some(v) => {
+                                record::try_remote_write_back(&self.qp, rec, new_version, v, false)
+                            }
+                            None => record::try_remote_unlock(&self.qp, rec, false),
                         };
                         if r.is_err() {
                             if self.self_crashed() {
@@ -1567,7 +1565,7 @@ mod tests {
     impl Harness {
         fn rec(&self, node: NodeId, key: u64) -> RecordAddr {
             let qp = self.sys.cluster().qp(node);
-            match self.tables[node as usize].remote_lookup(&qp, key) {
+            match self.tables[node as usize].try_remote_lookup(&qp, key).unwrap() {
                 LookupResult::Found { addr, .. } => RecordAddr::new(addr, VAL_CAP),
                 _ => panic!("key {key} missing on node {node}"),
             }
@@ -1781,11 +1779,13 @@ mod tests {
         };
         let mut r = sys.worker(1, 0);
         for _ in 0..50 {
-            let (x, y) = r.read_only(|ctx| {
-                let x = vu64(&ctx.acquire(&a)?);
-                let y = vu64(&ctx.acquire(&b)?);
-                Ok((x, y))
-            });
+            let (x, y) = r
+                .try_read_only(|ctx| {
+                    let x = vu64(&ctx.acquire(&a)?);
+                    let y = vu64(&ctx.acquire(&b)?);
+                    Ok((x, y))
+                })
+                .unwrap();
             assert_eq!(x.wrapping_add(y), 200, "read-only snapshot must conserve the total");
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -2035,7 +2035,7 @@ mod tests {
         let rec = h.rec(0, 0);
         let qp1 = h.sys.cluster().qp(1);
         let now = crate::time::softtime_nt(h.sys.cluster().node(1).region());
-        record::remote_read(&qp1, &rec, now + 3_000, now, 100).unwrap();
+        record::remote_read(&qp1, &rec, now + 3_000, now, 100, false).unwrap();
         // Local write under the lease explicitly aborts.
         let region = h.sys.cluster().node(0).region().clone();
         let mut txn = region.begin(&h.sys.config().htm);

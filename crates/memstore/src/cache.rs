@@ -299,23 +299,9 @@ impl LocationCache {
     /// The hit path takes no lock: it reads the cached chain through
     /// per-bucket seqlocks and retries torn reads.
     ///
-    /// # Panics
-    ///
-    /// If the table's machine is crashed (use
-    /// [`LocationCache::try_lookup`] under the chaos harness).
-    pub fn lookup(
-        &self,
-        qp: &Qp,
-        table: &ClusterHash,
-        key: u64,
-    ) -> Option<(GlobalAddr, Slot, u32)> {
-        self.try_lookup(qp, table, key).expect("cached lookup against a crashed node")
-    }
-
-    /// [`LocationCache::lookup`] with typed dead-peer reporting: a full
-    /// cache hit still succeeds (no fabric round trip), but a walk that
-    /// must fetch from a crashed machine returns the fabric error
-    /// instead of panicking or serving stale bytes.
+    /// Dead peers are reported typed: a full cache hit still succeeds
+    /// (no fabric round trip), but a walk that must fetch from a crashed
+    /// machine returns the fabric error instead of serving stale bytes.
     pub fn try_lookup(
         &self,
         qp: &Qp,
@@ -653,7 +639,8 @@ impl MutexLocationCache {
         if !(inner.main[way].valid && inner.main[way].tag == idx) {
             let off = desc.main_bucket_off(idx);
             let mut buf = [0u8; BUCKET_BYTES];
-            qp.read(GlobalAddr::new(desc.node, off), &mut buf);
+            qp.try_read(GlobalAddr::new(desc.node, off), &mut buf)
+                .expect("RDMA READ against a crashed node");
             reads += 1;
             inner.stats.fetches += 1;
             Self::evict(&mut inner, way);
@@ -694,7 +681,8 @@ impl MutexLocationCache {
                 Some(link) => {
                     let off = link.offset as usize;
                     let mut buf = [0u8; BUCKET_BYTES];
-                    qp.read(GlobalAddr::new(desc.node, off), &mut buf);
+                    qp.try_read(GlobalAddr::new(desc.node, off), &mut buf)
+                        .expect("RDMA READ against a crashed node");
                     reads += 1;
                     inner.stats.fetches += 1;
                     match inner.pool_free.pop() {
@@ -734,7 +722,10 @@ impl MutexLocationCache {
             None => {
                 Self::evict(&mut inner, way);
                 drop(inner);
-                match table.remote_lookup(qp, key) {
+                match table
+                    .try_remote_lookup(qp, key)
+                    .expect("remote lookup against a crashed node")
+                {
                     crate::cluster_hash::LookupResult::Found { addr, slot, reads: r } => {
                         Some((addr, slot, reads + r))
                     }
@@ -761,7 +752,8 @@ impl MutexLocationCache {
                     return Some((GlobalAddr::new(desc.node, slot.offset as usize), slot, reads));
                 }
                 ScanHit::Chain(next) => {
-                    qp.read(GlobalAddr::new(desc.node, next), &mut buf);
+                    qp.try_read(GlobalAddr::new(desc.node, next), &mut buf)
+                        .expect("RDMA READ against a crashed node");
                     reads += 1;
                 }
                 ScanHit::Miss => {
@@ -931,9 +923,9 @@ mod tests {
         table.insert(&exec, region, 1, b"v").unwrap();
         let qp = cluster.qp(1);
         let cache = LocationCache::new(64, 16);
-        let (_, _, r1) = cache.lookup(&qp, &table, 1).unwrap();
+        let (_, _, r1) = cache.try_lookup(&qp, &table, 1).unwrap().unwrap();
         assert_eq!(r1, 1, "cold fetch costs one READ");
-        let (_, _, r2) = cache.lookup(&qp, &table, 1).unwrap();
+        let (_, _, r2) = cache.try_lookup(&qp, &table, 1).unwrap().unwrap();
         assert_eq!(r2, 0, "warm lookup is free");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.fetches), (1, 1, 1));
@@ -947,7 +939,7 @@ mod tests {
         table.insert(&exec, region, 2, b"w").unwrap();
         let qp = cluster.qp(1);
         let cache = LocationCache::new(64, 16);
-        cache.lookup(&qp, &table, 1).unwrap(); // warm key 1
+        cache.try_lookup(&qp, &table, 1).unwrap().unwrap(); // warm key 1
         cluster.faults().kill(0);
         // A warm hit needs no fabric round trip — still served.
         let hit = cache.try_lookup(&qp, &table, 1).expect("cache hit needs no fabric");
@@ -968,10 +960,10 @@ mod tests {
         }
         let qp = cluster.qp(1);
         let cache = LocationCache::new(4, 16);
-        cache.lookup(&qp, &table, 0).unwrap();
+        cache.try_lookup(&qp, &table, 0).unwrap().unwrap();
         // All 7 other residents of the bucket are now free lookups.
         for k in 1..8u64 {
-            let (_, _, r) = cache.lookup(&qp, &table, k).unwrap();
+            let (_, _, r) = cache.try_lookup(&qp, &table, k).unwrap().unwrap();
             assert_eq!(r, 0, "key {k}");
         }
     }
@@ -987,9 +979,9 @@ mod tests {
         let cache = LocationCache::new(4, 16);
         // Walk to the deepest key once; the chain gets cached.
         let deep_key = 29u64;
-        let (_, _, cold) = cache.lookup(&qp, &table, deep_key).unwrap();
+        let (_, _, cold) = cache.try_lookup(&qp, &table, deep_key).unwrap().unwrap();
         assert!(cold >= 1);
-        let (_, _, warm) = cache.lookup(&qp, &table, deep_key).unwrap();
+        let (_, _, warm) = cache.try_lookup(&qp, &table, deep_key).unwrap().unwrap();
         assert_eq!(warm, 0, "chain walk should be fully cached");
     }
 
@@ -1000,7 +992,7 @@ mod tests {
         table.insert(&exec, region, 1, b"v").unwrap();
         let qp = cluster.qp(1);
         let cache = LocationCache::new(64, 8);
-        cache.lookup(&qp, &table, 1).unwrap();
+        cache.try_lookup(&qp, &table, 1).unwrap().unwrap();
         // Insert a key that maps to the *same* bucket after caching.
         let mut k2 = 2u64;
         while table.desc().bucket_index(k2) != table.desc().bucket_index(1) {
@@ -1008,7 +1000,7 @@ mod tests {
         }
         table.insert(&exec, region, k2, b"w").unwrap();
         // The cached snapshot doesn't contain k2, but lookup still finds it.
-        let got = cache.lookup(&qp, &table, k2);
+        let got = cache.try_lookup(&qp, &table, k2).unwrap();
         assert!(got.is_some(), "stale NotFound must re-verify");
     }
 
@@ -1019,13 +1011,13 @@ mod tests {
         table.insert(&exec, region, 5, b"old").unwrap();
         let qp = cluster.qp(1);
         let cache = LocationCache::new(64, 8);
-        let (addr, slot, _) = cache.lookup(&qp, &table, 5).unwrap();
+        let (addr, slot, _) = cache.try_lookup(&qp, &table, 5).unwrap().unwrap();
         table.delete(&exec, region, 5);
         table.insert(&exec, region, 5, b"new").unwrap();
         // Cached location is stale: incarnation check fails.
         assert!(table.remote_read_entry(&qp, addr, &slot).is_none());
         cache.invalidate(&table, 5);
-        let (addr2, slot2, _) = cache.lookup(&qp, &table, 5).unwrap();
+        let (addr2, slot2, _) = cache.try_lookup(&qp, &table, 5).unwrap().unwrap();
         let (_, v) = table.remote_read_entry(&qp, addr2, &slot2).unwrap();
         assert_eq!(v, b"new");
         assert_eq!(cache.stats().invalidations, 1);
@@ -1042,11 +1034,11 @@ mod tests {
         let cache = LocationCache::new(1, 1); // pool of one bucket
                                               // Every deep lookup still succeeds even when nothing fits.
         for k in 0..40u64 {
-            assert!(cache.lookup(&qp, &table, k).is_some(), "key {k}");
+            assert!(cache.try_lookup(&qp, &table, k).unwrap().is_some(), "key {k}");
         }
         // Cross-check against the uncached path.
         for k in 0..40u64 {
-            assert!(matches!(table.remote_lookup(&qp, k), LookupResult::Found { .. }));
+            assert!(matches!(table.try_remote_lookup(&qp, k).unwrap(), LookupResult::Found { .. }));
         }
     }
 
@@ -1082,7 +1074,7 @@ mod tests {
         let cache = LocationCache::new(256, 64);
         let qp = cluster.qp(1);
         for k in 0..256u64 {
-            cache.lookup(&qp, &table, k).unwrap();
+            cache.try_lookup(&qp, &table, k).unwrap().unwrap();
         }
         cache.reset_stats();
         std::thread::scope(|s| {
@@ -1094,7 +1086,7 @@ mod tests {
                     let qp = cluster.qp(1);
                     for i in 0..1000u64 {
                         let k = (i * 7 + t) % 256;
-                        let (_, slot, reads) = cache.lookup(&qp, table, k).unwrap();
+                        let (_, slot, reads) = cache.try_lookup(&qp, table, k).unwrap().unwrap();
                         assert_eq!(slot.key, k);
                         assert_eq!(reads, 0, "warm lookup must be free");
                     }
@@ -1118,7 +1110,8 @@ mod tests {
         let b = MutexLocationCache::new(16, 8);
         for pass in 0..2 {
             for k in 0..64u64 {
-                let ra = a.lookup(&qp, &table, k).map(|(addr, slot, _)| (addr, slot.key));
+                let ra =
+                    a.try_lookup(&qp, &table, k).unwrap().map(|(addr, slot, _)| (addr, slot.key));
                 let rb = b.lookup(&qp, &table, k).map(|(addr, slot, _)| (addr, slot.key));
                 assert_eq!(ra, rb, "pass {pass} key {k}");
             }

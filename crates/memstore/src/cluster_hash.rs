@@ -446,18 +446,8 @@ impl ClusterHash {
         }
     }
 
-    /// Remote lookup of `key` by one-sided RDMA READs of whole buckets.
-    ///
-    /// # Panics
-    ///
-    /// If the table's machine is crashed (use
-    /// [`ClusterHash::try_remote_lookup`] under the chaos harness).
-    pub fn remote_lookup(&self, qp: &Qp, key: u64) -> LookupResult {
-        self.try_remote_lookup(qp, key).expect("remote lookup against a crashed node")
-    }
-
-    /// [`ClusterHash::remote_lookup`] with typed dead-peer reporting
-    /// instead of a panic or a stale read.
+    /// Remote lookup of `key` by one-sided RDMA READs of whole buckets;
+    /// a crashed table machine is reported typed instead of a stale read.
     pub fn try_remote_lookup(&self, qp: &Qp, key: u64) -> Result<LookupResult, FabricError> {
         let mut bucket = self.desc.main_bucket_off(self.desc.bucket_index(key));
         let mut reads = 0u32;
@@ -509,7 +499,7 @@ impl ClusterHash {
         expect_slot: &Slot,
     ) -> Option<(EntryHeader, Vec<u8>)> {
         let mut buf = vec![0u8; self.desc.entry_read_bytes()];
-        qp.read(addr, &mut buf);
+        qp.try_read(addr, &mut buf).expect("RDMA READ against a crashed node");
         let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
         if !expect_slot.incarnation_matches(h.incarnation) {
             return None;
@@ -529,12 +519,14 @@ impl ClusterHash {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
         // Two WRITEs: the version (avoiding the adjacent incarnation),
         // then length + padding + value, which are contiguous.
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes());
+        qp.try_write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes())
+            .expect("RDMA WRITE against a crashed node");
         let mut buf = Vec::with_capacity(8 + value.len());
         buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
         buf.extend_from_slice(&[0u8; 4]);
         buf.extend_from_slice(value);
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 24), &buf);
+        qp.try_write(GlobalAddr::new(addr.node, addr.offset + 24), &buf)
+            .expect("RDMA WRITE against a crashed node");
     }
 }
 
@@ -647,7 +639,7 @@ mod tests {
         let region = cluster.node(0).region();
         table.insert(&exec, region, 5, b"remote value").unwrap();
         let qp = cluster.qp(1);
-        match table.remote_lookup(&qp, 5) {
+        match table.try_remote_lookup(&qp, 5).unwrap() {
             LookupResult::Found { addr, slot, reads } => {
                 assert_eq!(reads, 1);
                 let (h, v) = table.remote_read_entry(&qp, addr, &slot).expect("live");
@@ -656,7 +648,10 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(matches!(table.remote_lookup(&qp, 6), LookupResult::NotFound { reads: 1 }));
+        assert!(matches!(
+            table.try_remote_lookup(&qp, 6).unwrap(),
+            LookupResult::NotFound { reads: 1 }
+        ));
     }
 
     #[test]
@@ -667,7 +662,8 @@ mod tests {
             table.insert(&exec, region, k, b"z").unwrap();
         }
         let qp = cluster.qp(1);
-        let deep = (0..30u64).map(|k| table.remote_lookup(&qp, k).reads()).max().unwrap();
+        let deep =
+            (0..30u64).map(|k| table.try_remote_lookup(&qp, k).unwrap().reads()).max().unwrap();
         assert!(deep >= 2, "chained keys need multiple READs, got {deep}");
     }
 
@@ -677,7 +673,7 @@ mod tests {
         let region = cluster.node(0).region();
         table.insert(&exec, region, 9, b"old").unwrap();
         let qp = cluster.qp(1);
-        let (addr, slot) = match table.remote_lookup(&qp, 9) {
+        let (addr, slot) = match table.try_remote_lookup(&qp, 9).unwrap() {
             LookupResult::Found { addr, slot, .. } => (addr, slot),
             _ => panic!("must find"),
         };
@@ -691,7 +687,7 @@ mod tests {
         let region = cluster.node(0).region();
         table.insert(&exec, region, 3, b"before").unwrap();
         let qp = cluster.qp(1);
-        let addr = match table.remote_lookup(&qp, 3) {
+        let addr = match table.try_remote_lookup(&qp, 3).unwrap() {
             LookupResult::Found { addr, .. } => addr,
             _ => panic!(),
         };

@@ -167,7 +167,8 @@ impl CuckooHash {
             let boff = self.bucket_off(way, key);
             let mut b = [0u8; CUCKOO_BUCKET_BYTES];
             loop {
-                qp.read(GlobalAddr::new(self.desc.node, boff), &mut b);
+                qp.try_read(GlobalAddr::new(self.desc.node, boff), &mut b)
+                    .expect("RDMA READ against a crashed node");
                 reads += 1;
                 let k = u64::from_le_bytes(b[0..8].try_into().expect("b"));
                 let off = u64::from_le_bytes(b[8..16].try_into().expect("b"));
@@ -178,7 +179,8 @@ impl CuckooHash {
                 }
                 if off != 0 && k == key {
                     let mut eb = vec![0u8; ENTRY_HEADER_BYTES + self.desc.value_cap];
-                    qp.read(GlobalAddr::new(self.desc.node, off as usize), &mut eb);
+                    qp.try_read(GlobalAddr::new(self.desc.node, off as usize), &mut eb)
+                        .expect("RDMA READ against a crashed node");
                     let h = EntryHeader::decode(&eb[..ENTRY_HEADER_BYTES]);
                     let len = (h.value_len as usize).min(self.desc.value_cap);
                     return (

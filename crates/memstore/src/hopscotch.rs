@@ -242,10 +242,12 @@ impl HopscotchHash {
         // common case, two when it wraps (counted faithfully).
         let mut reads = 0u32;
         let first = (self.desc.buckets - home).min(NEIGHBOURHOOD);
-        qp.read(GlobalAddr::new(self.desc.node, self.slot_off(home)), &mut buf[..first * sb]);
+        qp.try_read(GlobalAddr::new(self.desc.node, self.slot_off(home)), &mut buf[..first * sb])
+            .expect("RDMA READ against a crashed node");
         reads += 1;
         if first < NEIGHBOURHOOD {
-            qp.read(GlobalAddr::new(self.desc.node, self.desc.base), &mut buf[first * sb..]);
+            qp.try_read(GlobalAddr::new(self.desc.node, self.desc.base), &mut buf[first * sb..])
+                .expect("RDMA READ against a crashed node");
             reads += 1;
         }
         for d in 0..NEIGHBOURHOOD {
@@ -264,7 +266,8 @@ impl HopscotchHash {
                     let off =
                         u64::from_le_bytes(buf[at + 8..at + 16].try_into().expect("off")) as usize;
                     let mut eb = vec![0u8; ENTRY_HEADER_BYTES + self.desc.value_cap];
-                    qp.read(GlobalAddr::new(self.desc.node, off), &mut eb);
+                    qp.try_read(GlobalAddr::new(self.desc.node, off), &mut eb)
+                        .expect("RDMA READ against a crashed node");
                     let h = EntryHeader::decode(&eb[..ENTRY_HEADER_BYTES]);
                     let len = (h.value_len as usize).min(self.desc.value_cap);
                     return (

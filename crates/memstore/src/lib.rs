@@ -49,8 +49,8 @@ pub use cuckoo::{CuckooHash, CuckooHashDesc};
 pub use entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 pub use hopscotch::{HopscotchHash, HopscotchHashDesc, HopscotchVariant};
 pub use reshard::{
-    MigratePhase, MigrationReport, RangeMap, RangeMapError, RangeState, ReshardStats, Resharder,
-    RouteDecision,
+    JournaledLock, MigratePhase, MigrationJournal, MigrationReport, RangeMap, RangeMapError,
+    RangeState, ReshardStats, Resharder, RouteDecision,
 };
 pub use slot::{Slot, SlotType, SLOT_BYTES};
 pub use split_ordered::{

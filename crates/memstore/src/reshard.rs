@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use drtm_htm::Executor;
+use drtm_htm::{Executor, Region};
 use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId, QueueId};
 
 use crate::cache::AddrCache;
@@ -71,6 +71,60 @@ pub const MIGRATE_BEFORE_CUTOVER_SITE: &str = "migrate-before-cutover";
 
 /// Bytes of the per-node migration journal (four u64 words).
 pub const MIGRATION_JOURNAL_BYTES: usize = 64;
+
+/// The per-node migration journal: while a migration holds a purge lock
+/// on a source entry, the destination's journal records which lock it
+/// is, so recovery can release it if the destination dies. Layout: the
+/// armed word at +0, then the source node, entry offset and lock word
+/// at +8/+16/+24. The fields are written first and the armed word last,
+/// so recovery only ever sees a fully armed journal.
+///
+/// The journal is NVRAM on its own node: every access is a direct
+/// region access, never a fabric op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationJournal {
+    off: usize,
+}
+
+/// The purge lock an armed [`MigrationJournal`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournaledLock {
+    /// Machine holding the locked entry.
+    pub src: NodeId,
+    /// Region offset of the entry's state word on `src`.
+    pub off: usize,
+    /// The lock word the migration installed there.
+    pub word: u64,
+}
+
+impl MigrationJournal {
+    /// The journal at region offset `off` (from the shared node layout).
+    pub fn at(off: usize) -> Self {
+        MigrationJournal { off }
+    }
+
+    /// Records `lock` and arms the journal (fields first, armed word last).
+    pub fn arm(&self, region: &Region, lock: JournaledLock) {
+        region.write_u64_nt(self.off + 8, lock.src as u64);
+        region.write_u64_nt(self.off + 16, lock.off as u64);
+        region.write_u64_nt(self.off + 24, lock.word);
+        region.write_u64_nt(self.off, 1);
+    }
+
+    /// Disarms the journal.
+    pub fn clear(&self, region: &Region) {
+        region.write_u64_nt(self.off, 0);
+    }
+
+    /// The recorded lock if the journal is armed.
+    pub fn read_armed(&self, region: &Region) -> Option<JournaledLock> {
+        (region.read_u64_nt(self.off) == 1).then(|| JournaledLock {
+            src: region.read_u64_nt(self.off + 8) as NodeId,
+            off: region.read_u64_nt(self.off + 16) as usize,
+            word: region.read_u64_nt(self.off + 24),
+        })
+    }
+}
 
 /// Phase boundaries of one migration, surfaced through
 /// [`Resharder::set_phase_hook`] so tests, the chaos harness and the
@@ -221,17 +275,8 @@ pub struct RangeMap {
 
 impl RangeMap {
     /// Builds a map from disjoint `(lo, hi, owner)` triples (inclusive
-    /// bounds).
-    ///
-    /// # Panics
-    ///
-    /// On invalid input; see [`RangeMap::try_new`] for the typed form.
-    pub fn new(ranges: impl IntoIterator<Item = (u64, u64, NodeId)>) -> Self {
-        Self::try_new(ranges).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a map, rejecting zero-width (`lo > hi`) and overlapping
-    /// ranges with a typed error instead of corrupting routing.
+    /// bounds), rejecting zero-width (`lo > hi`) and overlapping ranges
+    /// with a typed error instead of corrupting routing.
     pub fn try_new(
         ranges: impl IntoIterator<Item = (u64, u64, NodeId)>,
     ) -> Result<Self, RangeMapError> {
@@ -297,17 +342,8 @@ impl RangeMap {
     /// Splits the covering range as needed and moves `[lo, hi]` into
     /// `Copying` towards `dst`. Returns the new epoch.
     ///
-    /// # Panics
-    ///
-    /// On invalid input; see [`RangeMap::try_begin_copy`] for the typed
-    /// form.
-    pub fn begin_copy(&self, lo: u64, hi: u64, dst: NodeId) -> u64 {
-        self.try_begin_copy(lo, hi, dst).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`RangeMap::begin_copy`] with typed rejections: zero-width
-    /// bounds, an unmapped or entry-straddling range, a range already
-    /// migrating, or a `dst` that already owns it.
+    /// Rejects, typed, zero-width bounds, an unmapped or entry-straddling
+    /// range, a range already migrating, or a `dst` that already owns it.
     pub fn try_begin_copy(&self, lo: u64, hi: u64, dst: NodeId) -> Result<u64, RangeMapError> {
         if lo > hi {
             return Err(RangeMapError::EmptyRange { lo, hi });
@@ -495,9 +531,8 @@ pub struct Resharder {
     shards: RwLock<Vec<Arc<ElasticHash>>>,
     /// Index of the elastic table in every host's store-service registry.
     table_idx: u16,
-    /// Region offset of the 64-byte migration journal (same layout on
-    /// every node).
-    journal_off: usize,
+    /// The migration journal (same region offset on every node).
+    journal: MigrationJournal,
     /// State-word value that locks an entry for migration. The caller
     /// provides it (`LockState::write_locked(driver)` in core terms)
     /// so this crate stays free of the transaction layer.
@@ -545,7 +580,7 @@ impl Resharder {
             map,
             shards: RwLock::new(shards),
             table_idx,
-            journal_off,
+            journal: MigrationJournal::at(journal_off),
             lock_word,
             barrier_key,
             reply_q,
@@ -628,7 +663,7 @@ impl Resharder {
 
         // Phase 1: bulk copy. Source stays writable; epoch bumps so
         // routing can tell "resolved before the migration" apart.
-        self.map.begin_copy(lo, hi, dst);
+        self.map.try_begin_copy(lo, hi, dst).expect("invalid migration range");
         let (bulk, mut bytes) = src_shard.try_remote_collect_range(&qp, lo, hi)?;
         let copied = bulk.len();
         // What the destination will hold after the bulk pass: the delta
@@ -669,12 +704,9 @@ impl Resharder {
         let mut recopied = 0usize;
         for e in &delta {
             let state_addr = GlobalAddr::new(src, e.entry_off);
-            // Journal first: fields, then the active flag — recovery
-            // only trusts a fully armed journal.
-            dst_region.write_u64_nt(self.journal_off + 8, src as u64);
-            dst_region.write_u64_nt(self.journal_off + 16, e.entry_off as u64);
-            dst_region.write_u64_nt(self.journal_off + 24, self.lock_word);
-            dst_region.write_u64_nt(self.journal_off, 1);
+            // Journal first: recovery only trusts a fully armed journal.
+            self.journal
+                .arm(dst_region, JournaledLock { src, off: e.entry_off, word: self.lock_word });
             // Lock the entry on the source: in-flight fallback writers
             // holding it commit on the old owner first; we wait them out.
             let mut backoff = drtm_htm::backoff::Backoff::new();
@@ -694,7 +726,7 @@ impl Resharder {
                 // an unrelated entry. Release our lock and move on.
                 let r = qp.try_cas_u64(state_addr, self.lock_word, 0)?;
                 debug_assert_eq!(r, self.lock_word, "migration lock stolen");
-                dst_region.write_u64_nt(self.journal_off, 0);
+                self.journal.clear(dst_region);
                 continue;
             }
             if on_dst.get(&h.key).copied() != Some(h.version) {
@@ -723,7 +755,7 @@ impl Resharder {
                 &StoreOp::Delete { table: self.table_idx, key: e.key },
             );
             debug_assert_eq!(r, StoreReply::Ok, "purged key vanished while locked");
-            dst_region.write_u64_nt(self.journal_off, 0);
+            self.journal.clear(dst_region);
             // Invalidate cached locations *after* the source entry is
             // gone: a lookup between invalidation and re-resolution must
             // find either nothing on src (dual-read forwards to dst) or
@@ -757,15 +789,12 @@ impl Resharder {
         let mut released = 0;
         // The journal lives on the crashed destination; NVRAM model —
         // read it directly, not through the fabric.
-        if dst_region.read_u64_nt(self.journal_off) == 1 {
-            let src = dst_region.read_u64_nt(self.journal_off + 8) as NodeId;
-            let off = dst_region.read_u64_nt(self.journal_off + 16) as usize;
-            let word = dst_region.read_u64_nt(self.journal_off + 24);
-            let src_region = self.cluster.node(src).region();
-            if src_region.cas_u64_nt(off, word, 0) == word {
+        if let Some(lock) = self.journal.read_armed(dst_region) {
+            let src_region = self.cluster.node(lock.src).region();
+            if src_region.cas_u64_nt(lock.off, lock.word, 0) == lock.word {
                 released = 1;
             }
-            dst_region.write_u64_nt(self.journal_off, 0);
+            self.journal.clear(dst_region);
         }
         let dst_shard = self.shard(dst);
         let rows = dst_shard.collect_range_nt(dst_region, lo, hi);
@@ -859,7 +888,7 @@ mod tests {
             shards.push(t);
         }
         // Node 0 owns the low half, node 1 the high half.
-        let map = Arc::new(RangeMap::new([(0, 499, 0), (500, 999, 1)]));
+        let map = Arc::new(RangeMap::try_new([(0, 499, 0), (500, 999, 1)]).unwrap());
         let resharder = Resharder::new(
             cluster.clone(),
             map,
@@ -883,12 +912,12 @@ mod tests {
 
     #[test]
     fn route_follows_state_transitions() {
-        let map = RangeMap::new([(0, 99, 0), (100, 199, 1)]);
+        let map = RangeMap::try_new([(0, 99, 0), (100, 199, 1)]).unwrap();
         let d = map.route(50).unwrap();
         assert_eq!((d.primary, d.forward, d.writable), (0, None, true));
         assert!(map.route(200).is_none());
 
-        map.begin_copy(0, 49, 1);
+        map.try_begin_copy(0, 49, 1).unwrap();
         let d = map.route(10).unwrap();
         assert_eq!((d.primary, d.writable), (0, true), "src writable during copy");
         // The split left [50,99] stable on node 0.
@@ -928,7 +957,7 @@ mod tests {
 
     #[test]
     fn try_begin_copy_rejects_each_invalid_transition() {
-        let map = RangeMap::new([(0, 99, 0), (200, 299, 1)]);
+        let map = RangeMap::try_new([(0, 99, 0), (200, 299, 1)]).unwrap();
         assert_eq!(
             map.try_begin_copy(30, 20, 1).err(),
             Some(RangeMapError::EmptyRange { lo: 30, hi: 20 })
@@ -958,7 +987,7 @@ mod tests {
 
     #[test]
     fn reassign_flips_exact_stable_entries_only() {
-        let map = RangeMap::new([(0, 99, 0), (100, 199, 1)]);
+        let map = RangeMap::try_new([(0, 99, 0), (100, 199, 1)]).unwrap();
         assert_eq!(
             map.reassign(0, 50, 2).err(),
             Some(RangeMapError::NotAnExactRange { lo: 0, hi: 50 })
@@ -967,7 +996,7 @@ mod tests {
         let e = map.reassign(0, 99, 2).unwrap();
         assert_eq!(map.owner_of(50), Some(2));
         assert_eq!(map.epoch_of(50), Some(e), "reassignment bumps the epoch");
-        map.begin_copy(100, 199, 0);
+        map.try_begin_copy(100, 199, 0).unwrap();
         assert_eq!(
             map.reassign(100, 199, 2).err(),
             Some(RangeMapError::AlreadyMigrating { lo: 100 }),
@@ -977,7 +1006,8 @@ mod tests {
 
     #[test]
     fn multi_range_reassignment_and_donor_selection() {
-        let map = RangeMap::new([(0, 99, 0), (100, 149, 1), (150, 199, 0), (200, 200, 2)]);
+        let map =
+            RangeMap::try_new([(0, 99, 0), (100, 149, 1), (150, 199, 0), (200, 200, 2)]).unwrap();
         assert_eq!(map.ranges_owned_by(0), vec![(0, 99), (150, 199)]);
         // Donation: upper half of node 0's largest range.
         assert_eq!(map.donation_from(0), Some((50, 99)));
@@ -1016,8 +1046,8 @@ mod tests {
 
     #[test]
     fn abort_migration_restores_the_source() {
-        let map = RangeMap::new([(0, 99, 0)]);
-        map.begin_copy(20, 40, 1);
+        let map = RangeMap::try_new([(0, 99, 0)]).unwrap();
+        map.try_begin_copy(20, 40, 1).unwrap();
         map.abort_migration(20, 40);
         let d = map.route(30).unwrap();
         assert_eq!((d.primary, d.writable), (0, true));
@@ -1109,7 +1139,7 @@ mod tests {
         // Warm the cache with locations on the source.
         let qp = rig.cluster.qp(1);
         for k in 0..20u64 {
-            match rig.shards[0].remote_lookup(&qp, k) {
+            match rig.shards[0].try_remote_lookup(&qp, k).unwrap() {
                 crate::cluster_hash::LookupResult::Found { addr, slot, .. } => {
                     cache.install(k, addr, slot)
                 }
@@ -1176,10 +1206,8 @@ mod tests {
         let off = rows[0].entry_off;
         assert_eq!(region0.cas_u64_nt(off, 0, LOCK_WORD), 0);
         let region1 = rig.cluster.node(1).region();
-        region1.write_u64_nt(JOURNAL_OFF + 8, 0);
-        region1.write_u64_nt(JOURNAL_OFF + 16, off as u64);
-        region1.write_u64_nt(JOURNAL_OFF + 24, LOCK_WORD);
-        region1.write_u64_nt(JOURNAL_OFF, 1);
+        MigrationJournal::at(JOURNAL_OFF)
+            .arm(region1, JournaledLock { src: 0, off, word: LOCK_WORD });
         let (released, _) = rig.resharder.recover(0, 49, 1);
         assert_eq!(released, 1);
         assert_eq!(region0.read_u64_nt(off), 0, "lock released");

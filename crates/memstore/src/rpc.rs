@@ -163,7 +163,7 @@ pub fn ship_store_op(
     op: &StoreOp,
 ) -> StoreReply {
     let qp = cluster.qp(from);
-    qp.send(host, STORE_RPC_QUEUE, encode_op(op, reply_q));
+    qp.try_send(host, STORE_RPC_QUEUE, encode_op(op, reply_q)).expect("SEND to a crashed node");
     let msg = cluster.verbs().recv(from, reply_q);
     decode_reply(&msg.payload)
 }
@@ -202,7 +202,7 @@ pub fn serve_store_ops(
                 }
             }
         };
-        qp.send(msg.from, reply_q, encode_reply(reply));
+        qp.try_send(msg.from, reply_q, encode_reply(reply)).expect("SEND to a crashed node");
     }
 }
 
@@ -291,7 +291,7 @@ mod tests {
         assert_eq!(r, StoreReply::Ok);
         // The key is now remotely readable with one-sided verbs.
         let qp = cluster.qp(1);
-        match table.remote_lookup(&qp, 5) {
+        match table.try_remote_lookup(&qp, 5).unwrap() {
             crate::cluster_hash::LookupResult::Found { addr, slot, .. } => {
                 let (_, v) = table.remote_read_entry(&qp, addr, &slot).unwrap();
                 assert_eq!(v, b"shipped");

@@ -612,17 +612,8 @@ impl ElasticHash {
     }
 
     /// Remote lookup of `key` by one-sided READs of the size word, the
-    /// directory and 16-byte node headers.
-    ///
-    /// # Panics
-    ///
-    /// If the table's machine is crashed (use
-    /// [`ElasticHash::try_remote_lookup`] under the chaos harness).
-    pub fn remote_lookup(&self, qp: &Qp, key: u64) -> LookupResult {
-        self.try_remote_lookup(qp, key).expect("remote lookup against a crashed node")
-    }
-
-    /// [`ElasticHash::remote_lookup`] with typed dead-peer reporting.
+    /// directory and 16-byte node headers; a crashed table machine is
+    /// reported typed.
     ///
     /// A resize in progress is invisible except in cost: an unsplit
     /// bucket falls back to its parent (counted in
@@ -702,7 +693,7 @@ impl ElasticHash {
         expect_slot: &Slot,
     ) -> Option<(EntryHeader, Vec<u8>)> {
         let mut buf = vec![0u8; self.desc.entry_read_bytes()];
-        qp.read(addr, &mut buf);
+        qp.try_read(addr, &mut buf).expect("RDMA READ against a crashed node");
         let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
         if !expect_slot.incarnation_matches(h.incarnation) {
             return None;
@@ -715,12 +706,14 @@ impl ElasticHash {
     /// one-sided WRITEs; the caller holds the entry's exclusive lock.
     pub fn remote_write_value(&self, qp: &Qp, addr: GlobalAddr, version: u32, value: &[u8]) {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes());
+        qp.try_write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes())
+            .expect("RDMA WRITE against a crashed node");
         let mut buf = Vec::with_capacity(8 + value.len());
         buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
         buf.extend_from_slice(&[0u8; 4]);
         buf.extend_from_slice(value);
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 24), &buf);
+        qp.try_write(GlobalAddr::new(addr.node, addr.offset + 24), &buf)
+            .expect("RDMA WRITE against a crashed node");
     }
 
     /// Streams every live entry with key in `[lo, hi]` over the fabric:
@@ -911,7 +904,7 @@ mod tests {
         drop(txn);
         let qp = cluster.qp(1);
         for k in 0..500u64 {
-            match table.remote_lookup(&qp, k) {
+            match table.try_remote_lookup(&qp, k).unwrap() {
                 LookupResult::Found { addr, slot, .. } => {
                     let (_, v) = table.remote_read_entry(&qp, addr, &slot).unwrap();
                     assert_eq!(v, k.to_le_bytes());
@@ -950,7 +943,7 @@ mod tests {
         let before = table.stats();
         for k in 0..100u64 {
             assert!(
-                matches!(table.remote_lookup(&qp, k), LookupResult::Found { .. }),
+                matches!(table.try_remote_lookup(&qp, k).unwrap(), LookupResult::Found { .. }),
                 "key {k} lost after grow"
             );
         }
@@ -983,7 +976,7 @@ mod tests {
         let region = cluster.node(0).region();
         table.insert(&exec, region, 5, b"old").unwrap();
         let qp = cluster.qp(1);
-        let (addr, slot) = match table.remote_lookup(&qp, 5) {
+        let (addr, slot) = match table.try_remote_lookup(&qp, 5).unwrap() {
             LookupResult::Found { addr, slot, .. } => (addr, slot),
             other => panic!("{other:?}"),
         };
@@ -1001,7 +994,7 @@ mod tests {
         let region = cluster.node(0).region();
         table.insert(&exec, region, 9, b"before").unwrap();
         let qp = cluster.qp(1);
-        let addr = match table.remote_lookup(&qp, 9) {
+        let addr = match table.try_remote_lookup(&qp, 9).unwrap() {
             LookupResult::Found { addr, .. } => addr,
             other => panic!("{other:?}"),
         };

@@ -301,18 +301,9 @@ impl Qp {
 
     /// One-sided RDMA READ of `buf.len()` bytes at `addr`.
     ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed under the cluster's
-    /// [`FaultPlan`] — an infallible verb must never serve stale bytes
-    /// from a corpse. Paths that can legally race a crash use
-    /// [`Qp::try_read`].
-    pub fn read(&self, addr: GlobalAddr, buf: &mut [u8]) {
-        self.try_read(addr, buf).expect("RDMA READ against a crashed node");
-    }
-
-    /// Fallible [`Qp::read`]: fails within the configured deadline when
-    /// either end is crashed instead of serving stale memory.
+    /// Fails within the configured deadline when either end is crashed
+    /// under the cluster's [`FaultPlan`] — a verb must never serve stale
+    /// bytes from a corpse.
     pub fn try_read(&self, addr: GlobalAddr, buf: &mut [u8]) -> Result<(), FabricError> {
         self.cluster.faults.admit(self.from, addr.node)?;
         let p = &self.cluster.profile;
@@ -322,16 +313,8 @@ impl Qp {
         Ok(())
     }
 
-    /// One-sided RDMA WRITE of `data` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed (see [`Qp::read`]).
-    pub fn write(&self, addr: GlobalAddr, data: &[u8]) {
-        self.try_write(addr, data).expect("RDMA WRITE against a crashed node");
-    }
-
-    /// Fallible [`Qp::write`].
+    /// One-sided RDMA WRITE of `data` at `addr`; fails like
+    /// [`Qp::try_read`].
     pub fn try_write(&self, addr: GlobalAddr, data: &[u8]) -> Result<(), FabricError> {
         self.cluster.faults.admit(self.from, addr.node)?;
         let p = &self.cluster.profile;
@@ -342,17 +325,6 @@ impl Qp {
     }
 
     /// One-sided RDMA READ of an aligned `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed (see [`Qp::read`]).
-    pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Fallible [`Qp::read_u64`].
     pub fn try_read_u64(&self, addr: GlobalAddr) -> Result<u64, FabricError> {
         let mut buf = [0u8; 8];
         self.try_read(addr, &mut buf)?;
@@ -360,29 +332,11 @@ impl Qp {
     }
 
     /// One-sided RDMA WRITE of an aligned `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed (see [`Qp::read`]).
-    pub fn write_u64(&self, addr: GlobalAddr, value: u64) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
-    /// Fallible [`Qp::write_u64`].
     pub fn try_write_u64(&self, addr: GlobalAddr, value: u64) -> Result<(), FabricError> {
         self.try_write(addr, &value.to_le_bytes())
     }
 
     /// One-sided RDMA compare-and-swap; returns the pre-operation value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed (see [`Qp::read`]).
-    pub fn cas_u64(&self, addr: GlobalAddr, expected: u64, new: u64) -> u64 {
-        self.try_cas_u64(addr, expected, new).expect("RDMA CAS against a crashed node")
-    }
-
-    /// Fallible [`Qp::cas_u64`].
     pub fn try_cas_u64(
         &self,
         addr: GlobalAddr,
@@ -397,15 +351,6 @@ impl Qp {
     }
 
     /// One-sided RDMA fetch-and-add; returns the pre-operation value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed (see [`Qp::read`]).
-    pub fn faa_u64(&self, addr: GlobalAddr, delta: u64) -> u64 {
-        self.try_faa_u64(addr, delta).expect("RDMA FAA against a crashed node")
-    }
-
-    /// Fallible [`Qp::faa_u64`].
     pub fn try_faa_u64(&self, addr: GlobalAddr, delta: u64) -> Result<u64, FabricError> {
         self.cluster.faults.admit(self.from, addr.node)?;
         let atomic_ns = self.cluster.profile.atomic_ns;
@@ -417,7 +362,7 @@ impl Qp {
     /// Local CPU compare-and-swap on this machine's own region.
     ///
     /// Only meaningful under [`AtomicityLevel::Glob`]; under `Hca` the
-    /// protocol must use [`Qp::cas_u64`] even for local records. The
+    /// protocol must use [`Qp::try_cas_u64`] even for local records. The
     /// simulation keeps it globally atomic either way (see
     /// [`AtomicityLevel`]) but charges only the CPU cost.
     pub fn local_cas_u64(&self, offset: usize, expected: u64, new: u64) -> u64 {
@@ -431,17 +376,10 @@ impl Qp {
     /// charged the same cost when it takes the message off its queue
     /// (two-sided verbs involve both CPUs, §2).
     ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed (see [`Qp::read`]).
-    pub fn send(&self, to: NodeId, qid: crate::verbs::QueueId, payload: Vec<u8>) {
-        self.try_send(to, qid, payload).expect("SEND to a crashed node");
-    }
-
-    /// Fallible [`Qp::send`] that also rolls the fault plan's message
-    /// dice: the message may be silently dropped or delivered twice.
-    /// `Ok` therefore means "handed to the NIC", not "delivered" —
-    /// exactly the guarantee real SEND gives before the ACK.
+    /// Also rolls the fault plan's message dice: the message may be
+    /// silently dropped or delivered twice. `Ok` therefore means "handed
+    /// to the NIC", not "delivered" — exactly the guarantee real SEND
+    /// gives before the ACK.
     pub fn try_send(
         &self,
         to: NodeId,
@@ -487,9 +425,9 @@ mod tests {
         let c = two_nodes();
         let qp = c.qp(0);
         let addr = GlobalAddr::new(1, 128);
-        qp.write(addr, b"hello drtm");
+        qp.try_write(addr, b"hello drtm").unwrap();
         let mut buf = [0u8; 10];
-        qp.read(addr, &mut buf);
+        qp.try_read(addr, &mut buf).unwrap();
         assert_eq!(&buf, b"hello drtm");
         // Data landed in node 1's region, visible to its local accesses.
         let mut local = [0u8; 10];
@@ -502,10 +440,10 @@ mod tests {
         let c = two_nodes();
         let qp = c.qp(0);
         let addr = GlobalAddr::new(1, 0);
-        qp.write_u64(addr, 3);
-        qp.read_u64(addr);
-        qp.cas_u64(addr, 3, 4);
-        qp.faa_u64(addr, 1);
+        qp.try_write_u64(addr, 3).unwrap();
+        qp.try_read_u64(addr).unwrap();
+        qp.try_cas_u64(addr, 3, 4).unwrap();
+        qp.try_faa_u64(addr, 1).unwrap();
         let s = c.counters().snapshot();
         assert_eq!((s.reads, s.writes, s.cas, s.faa), (1, 1, 1, 1));
         assert_eq!(s.one_sided(), 4);
@@ -522,9 +460,9 @@ mod tests {
         });
         let qp = c.qp(0);
         vtime::take();
-        qp.read_u64(GlobalAddr::new(1, 0));
+        qp.try_read_u64(GlobalAddr::new(1, 0)).unwrap();
         assert_eq!(vtime::take(), LatencyProfile::rdma().read_ns(8));
-        qp.cas_u64(GlobalAddr::new(1, 0), 0, 1);
+        qp.try_cas_u64(GlobalAddr::new(1, 0), 0, 1).unwrap();
         assert_eq!(vtime::take(), LatencyProfile::rdma().atomic_ns);
     }
 
@@ -540,15 +478,15 @@ mod tests {
         let p = LatencyProfile::rdma();
         let qp = c.qp(0);
         vtime::take();
-        qp.read_u64(GlobalAddr::new(1, 0));
+        qp.try_read_u64(GlobalAddr::new(1, 0)).unwrap();
         assert_eq!(vtime::take(), p.read_ns(8), "first op rings the doorbell at full cost");
-        qp.read_u64(GlobalAddr::new(1, 8));
+        qp.try_read_u64(GlobalAddr::new(1, 8)).unwrap();
         let batched = vtime::take();
         assert_eq!(batched, c.doorbell().batched_ns(p.read_ns(8), p.read_base_ns));
         assert!(batched < p.read_ns(8));
         // A completion wait closes the batch: full price again.
         qp.doorbell_flush();
-        qp.read_u64(GlobalAddr::new(1, 16));
+        qp.try_read_u64(GlobalAddr::new(1, 16)).unwrap();
         assert_eq!(vtime::take(), p.read_ns(8));
         vtime::take();
     }
@@ -569,7 +507,7 @@ mod tests {
         let qp = c.qp(0);
         vtime::take();
         for i in 0..8 {
-            qp.read_u64(GlobalAddr::new(1, 8 * i));
+            qp.try_read_u64(GlobalAddr::new(1, 8 * i)).unwrap();
         }
         vtime::take();
         let s = c.counters().snapshot();
@@ -590,9 +528,9 @@ mod tests {
         let qp = c.qp(0);
         vtime::take();
         for i in 0..5 {
-            qp.read_u64(GlobalAddr::new(1, 8 * i));
+            qp.try_read_u64(GlobalAddr::new(1, 8 * i)).unwrap();
         }
-        qp.send(1, 0, vec![1, 2, 3]);
+        qp.try_send(1, 0, vec![1, 2, 3]).unwrap();
         vtime::take();
         let s = c.counters().snapshot();
         assert_eq!(s.doorbells, s.fabric_ops());
@@ -615,10 +553,10 @@ mod tests {
         let p = LatencyProfile::rdma();
         let qp = c.qp(0);
         vtime::take();
-        qp.read_u64(GlobalAddr::new(1, 0));
+        qp.try_read_u64(GlobalAddr::new(1, 0)).unwrap();
         let qp2 = qp.clone();
         vtime::take();
-        qp2.read_u64(GlobalAddr::new(1, 8));
+        qp2.try_read_u64(GlobalAddr::new(1, 8)).unwrap();
         assert_eq!(vtime::take(), p.read_ns(8), "a fresh QP has no open doorbell to ride");
     }
 
@@ -631,7 +569,7 @@ mod tests {
         let cfg = drtm_htm::HtmConfig::default();
         let mut txn = region.begin(&cfg);
         assert_eq!(txn.read_u64(0).unwrap(), 0);
-        c.qp(0).cas_u64(GlobalAddr::new(1, 0), 0, 0xBEEF);
+        c.qp(0).try_cas_u64(GlobalAddr::new(1, 0), 0, 0xBEEF).unwrap();
         assert_eq!(txn.commit(), Err(drtm_htm::Abort::Conflict));
     }
 
@@ -640,12 +578,13 @@ mod tests {
         let c = two_nodes();
         let qp = c.qp(0);
         let addr = GlobalAddr::new(1, 0);
-        qp.write_u64(addr, 77);
+        qp.try_write_u64(addr, 77).unwrap();
         c.faults().kill(1);
         let dead = crate::FabricError::PeerDead { node: 1 };
         let mut buf = [0u8; 8];
         assert_eq!(qp.try_read(addr, &mut buf), Err(dead));
         assert_eq!(buf, [0u8; 8], "failed read must not deliver bytes");
+        assert_eq!(qp.try_write(addr, &[1; 8]), Err(dead));
         assert_eq!(qp.try_write_u64(addr, 1), Err(dead));
         assert_eq!(qp.try_read_u64(addr), Err(dead));
         assert_eq!(qp.try_cas_u64(addr, 77, 1), Err(dead));
@@ -656,14 +595,6 @@ mod tests {
         // After revival (recovery re-provisioned the node) ops resume.
         c.faults().revive(1);
         assert_eq!(qp.try_read_u64(addr), Ok(77));
-    }
-
-    #[test]
-    #[should_panic(expected = "RDMA READ against a crashed node")]
-    fn infallible_read_panics_on_crashed_node() {
-        let c = two_nodes();
-        c.faults().kill(1);
-        c.qp(0).read_u64(GlobalAddr::new(1, 0));
     }
 
     #[test]
@@ -684,7 +615,7 @@ mod tests {
         };
         let deliveries = |c: &Arc<Cluster>| {
             for i in 0..100u8 {
-                c.qp(0).send(1, 0, vec![i]);
+                c.qp(0).try_send(1, 0, vec![i]).unwrap();
             }
             let mut got = Vec::new();
             while let Some(m) = c.verbs().try_recv(1, 0) {
@@ -713,10 +644,10 @@ mod tests {
         let n2 = c.add_node().unwrap();
         assert_eq!(n2, 2);
         assert_eq!(c.num_nodes(), 3);
-        qp.write_u64(GlobalAddr::new(n2, 64), 9);
-        assert_eq!(qp.read_u64(GlobalAddr::new(n2, 64)), 9);
+        qp.try_write_u64(GlobalAddr::new(n2, 64), 9).unwrap();
+        assert_eq!(qp.try_read_u64(GlobalAddr::new(n2, 64)).unwrap(), 9);
         // Verbs endpoints are live without any re-registration.
-        c.qp(n2).send(0, 7, vec![1]);
+        c.qp(n2).try_send(0, 7, vec![1]).unwrap();
         assert_eq!(c.verbs().try_recv(0, 7).unwrap().payload, vec![1]);
         assert_eq!(c.add_node(), Some(3));
         assert_eq!(c.add_node(), None, "capacity exhausted");
@@ -727,7 +658,7 @@ mod tests {
         let c = two_nodes();
         let qp = c.qp(0);
         let addr = GlobalAddr::new(1, 0);
-        qp.write_u64(addr, 5);
+        qp.try_write_u64(addr, 5).unwrap();
         c.faults().retire(1);
         let gone = crate::FabricError::NodeRetired { node: 1 };
         assert_eq!(qp.try_read_u64(addr), Err(gone));
@@ -744,7 +675,7 @@ mod tests {
     fn loopback_rdma_works() {
         let c = two_nodes();
         let qp = c.qp(1);
-        qp.write_u64(GlobalAddr::new(1, 8), 42);
+        qp.try_write_u64(GlobalAddr::new(1, 8), 42).unwrap();
         assert_eq!(c.node(1).region().read_u64_nt(8), 42);
     }
 }

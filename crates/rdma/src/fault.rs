@@ -14,9 +14,9 @@
 //! * **Fallible operations** — once a node is dead, every `try_*` verb
 //!   against it fails with a typed [`FabricError`] after charging the
 //!   configured deadline to virtual time, instead of serving stale bytes
-//!   or hanging. The infallible verbs panic loudly, so a protocol path
-//!   that has not been converted to the fallible API cannot silently
-//!   read a corpse's memory.
+//!   or hanging. There are no infallible verbs: a caller that cannot
+//!   handle the error `.expect`s it, so no path can silently read a
+//!   corpse's memory.
 //! * **Message faults** — per-op delays and SEND drop/duplicate driven
 //!   by a seeded xorshift PRNG, so every run is replayable from its
 //!   seed (single-threaded drivers replay exactly; multi-threaded runs

@@ -41,10 +41,11 @@
 //! });
 //! let qp = cluster.qp(0); // queue pair owned by machine 0
 //! let addr = GlobalAddr { node: 1, offset: 64 };
-//! qp.write_u64(addr, 7);
-//! assert_eq!(qp.read_u64(addr), 7);
-//! assert_eq!(qp.cas_u64(addr, 7, 9), 7);
+//! qp.try_write_u64(addr, 7)?;
+//! assert_eq!(qp.try_read_u64(addr)?, 7);
+//! assert_eq!(qp.try_cas_u64(addr, 7, 9)?, 7);
 //! assert_eq!(cluster.counters().snapshot().cas, 1);
+//! # Ok::<(), drtm_rdma::FabricError>(())
 //! ```
 
 mod counters;

@@ -97,7 +97,7 @@ impl Verbs {
 
     /// Delivers `payload` from `from` to queue `qid` on node `to`.
     ///
-    /// Prefer [`crate::Qp::send`], which also charges latency and counts
+    /// Prefer [`crate::Qp::try_send`], which also charges latency and counts
     /// the operation.
     pub fn deliver(&self, from: NodeId, to: NodeId, qid: QueueId, payload: Vec<u8>) {
         self.deliver_costed(from, to, qid, payload, 0);
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn send_recv_roundtrip() {
         let c = cluster(2);
-        c.qp(0).send(1, 7, b"ping".to_vec());
+        c.qp(0).try_send(1, 7, b"ping".to_vec()).unwrap();
         let m = c.verbs().recv(1, 7);
         assert_eq!(m.from, 0);
         assert_eq!(m.payload, b"ping");
@@ -178,8 +178,8 @@ mod tests {
     #[test]
     fn queues_are_independent() {
         let c = cluster(2);
-        c.qp(0).send(1, 1, b"a".to_vec());
-        c.qp(0).send(1, 2, b"b".to_vec());
+        c.qp(0).try_send(1, 1, b"a".to_vec()).unwrap();
+        c.qp(0).try_send(1, 2, b"b".to_vec()).unwrap();
         assert_eq!(c.verbs().recv(1, 2).payload, b"b");
         assert_eq!(c.verbs().recv(1, 1).payload, b"a");
     }
@@ -189,7 +189,7 @@ mod tests {
         let c = cluster(2);
         assert!(c.verbs().try_recv(0, 0).is_none());
         assert_eq!(c.verbs().pending(0, 0), 0);
-        c.qp(1).send(0, 0, vec![1, 2, 3]);
+        c.qp(1).try_send(0, 0, vec![1, 2, 3]).unwrap();
         assert_eq!(c.verbs().pending(0, 0), 1);
         assert_eq!(c.verbs().try_recv(0, 0).unwrap().payload, vec![1, 2, 3]);
     }
@@ -205,7 +205,7 @@ mod tests {
     fn fifo_per_queue() {
         let c = cluster(2);
         for i in 0..10u8 {
-            c.qp(0).send(1, 0, vec![i]);
+            c.qp(0).try_send(1, 0, vec![i]).unwrap();
         }
         for i in 0..10u8 {
             assert_eq!(c.verbs().recv(1, 0).payload, vec![i]);
@@ -218,7 +218,7 @@ mod tests {
         let c2 = c.clone();
         let h = std::thread::spawn(move || c2.verbs().recv(1, 3).payload);
         std::thread::sleep(Duration::from_millis(20));
-        c.qp(0).send(1, 3, b"late".to_vec());
+        c.qp(0).try_send(1, 3, b"late".to_vec()).unwrap();
         assert_eq!(h.join().unwrap(), b"late");
     }
 
@@ -229,7 +229,7 @@ mod tests {
         // 0x8000.
         let c = cluster(2);
         for qid in [0u16, 0x00FF, 0x8000 | (1 << 8) | 3, 0xFFDD, 0xFFEE, u16::MAX] {
-            c.qp(0).send(1, qid, qid.to_le_bytes().to_vec());
+            c.qp(0).try_send(1, qid, qid.to_le_bytes().to_vec()).unwrap();
             assert_eq!(c.verbs().recv(1, qid).payload, qid.to_le_bytes().to_vec());
         }
     }
@@ -242,7 +242,7 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for i in 0..100u8 {
-                        c.qp(0).send(1, 9, vec![t, i]);
+                        c.qp(0).try_send(1, 9, vec![t, i]).unwrap();
                     }
                 });
             }

@@ -171,9 +171,12 @@ impl ElasticKv {
             shards.push(t);
         }
         let journal_off = layouts[0].migration_journal_off;
-        let map = Arc::new(RangeMap::new(
-            (0..cfg.nodes as NodeId).map(|n| (n as u64 * per, (n as u64 + 1) * per - 1, n)),
-        ));
+        let map = Arc::new(
+            RangeMap::try_new(
+                (0..cfg.nodes as NodeId).map(|n| (n as u64 * per, (n as u64 + 1) * per - 1, n)),
+            )
+            .expect("invalid range map"),
+        );
         let resharder = Arc::new(Resharder::new(
             cluster.clone(),
             map.clone(),

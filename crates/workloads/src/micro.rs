@@ -155,6 +155,10 @@ pub struct MicroWorker {
 }
 
 impl MicroWorker {
+    fn resolve(&self, node: NodeId, key: u64) -> Option<RecordAddr> {
+        self.table.try_resolve(&self.w, node, key).expect("resolve against a crashed node")
+    }
+
     fn pick(&mut self) -> (NodeId, u64) {
         let node = if self.cfg.nodes > 1 && self.rng.gen_bool(self.cfg.remote_prob) {
             let mut n = self.rng.gen_range(0..self.cfg.nodes as NodeId);
@@ -191,7 +195,7 @@ impl MicroWorker {
                     break (n, k);
                 }
             };
-            let rec = self.table.resolve(&self.w, node, key).expect("populated");
+            let rec = self.resolve(node, key).expect("populated");
             let is_read = a < reads;
             let remote = node != self.w.node;
             let idx = self.place(&mut spec, rec, is_read, remote);
@@ -206,7 +210,7 @@ impl MicroWorker {
         let mut spec = TxnSpec::default();
         let mut ops: Vec<(bool, bool, usize)> = Vec::new();
         let (hn, hk) = self.pick_hot();
-        let hrec = self.table.resolve(&self.w, hn, hk).expect("hot record");
+        let hrec = self.resolve(hn, hk).expect("hot record");
         let hremote = hn != self.w.node;
         let idx = self.place(&mut spec, hrec, true, hremote);
         ops.push((true, hremote, idx));
@@ -218,7 +222,7 @@ impl MicroWorker {
                     break (n, k);
                 }
             };
-            let rec = self.table.resolve(&self.w, node, key).expect("populated");
+            let rec = self.resolve(node, key).expect("populated");
             let remote = node != self.w.node;
             let idx = self.place(&mut spec, rec, false, remote);
             ops.push((false, remote, idx));
@@ -332,7 +336,7 @@ mod tests {
         // With leases, two workers remote-reading the same hot record
         // must not conflict at the lock level: the second read shares.
         let m = Micro::build(tiny(true));
-        let rec = m.table.resolve(&m.worker(0, 0).w, 1, 200).expect("record");
+        let rec = m.table.try_resolve(&m.worker(0, 0).w, 1, 200).unwrap().expect("record");
         let mut w = m.sys.worker(0, 0);
         let spec = TxnSpec { remote_reads: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| Ok(fields(ctx.remote_read(0))[0])).unwrap();

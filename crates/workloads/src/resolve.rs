@@ -16,7 +16,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use drtm_core::{RecordAddr, Worker};
-use drtm_memstore::{ClusterHash, LocationCache, LookupResult};
+use drtm_memstore::{ClusterHash, LocationCache};
 use drtm_rdma::{FabricError, NodeId};
 
 /// One logical table, instantiated once per machine (identical geometry
@@ -76,17 +76,9 @@ impl Table {
     /// Local keys use a validated HTM lookup; remote keys go through the
     /// location cache. Returns `None` if the key does not exist.
     ///
-    /// # Panics
-    ///
-    /// If `server` is crashed and the answer is not cached (use
-    /// [`Table::try_resolve`] under the chaos harness).
-    pub fn resolve(&self, worker: &Worker, server: NodeId, key: u64) -> Option<RecordAddr> {
-        self.try_resolve(worker, server, key).expect("resolve against a crashed node")
-    }
-
-    /// [`Table::resolve`] with typed dead-peer reporting: a warm cache
-    /// still answers without touching the fabric, but a lookup that must
-    /// read a crashed machine's buckets surfaces the fabric error.
+    /// Dead peers are reported typed: a warm cache still answers without
+    /// touching the fabric, but a lookup that must read a crashed
+    /// machine's buckets surfaces the fabric error.
     pub fn try_resolve(
         &self,
         worker: &Worker,
@@ -115,22 +107,6 @@ impl Table {
             Ok(cache
                 .try_lookup(worker.qp(), table, key)?
                 .map(|(addr, _slot, _reads)| RecordAddr::new(addr, cap)))
-        }
-    }
-
-    /// Uncached resolution (used to measure the cache's benefit).
-    pub fn resolve_uncached(
-        &self,
-        worker: &Worker,
-        server: NodeId,
-        key: u64,
-    ) -> Option<RecordAddr> {
-        if server == worker.node {
-            return self.resolve(worker, server, key);
-        }
-        match self.shard(server).remote_lookup(worker.qp(), key) {
-            LookupResult::Found { addr, .. } => Some(RecordAddr::new(addr, self.value_cap())),
-            LookupResult::NotFound { .. } => None,
         }
     }
 }
@@ -172,20 +148,20 @@ mod tests {
     fn local_and_remote_resolution() {
         let (sys, table) = build();
         let w = sys.worker(0, 0);
-        let local = table.resolve(&w, 0, 7).expect("local key");
+        let local = table.try_resolve(&w, 0, 7).unwrap().expect("local key");
         assert_eq!(local.addr.node, 0);
-        let remote = table.resolve(&w, 1, 7).expect("remote key");
+        let remote = table.try_resolve(&w, 1, 7).unwrap().expect("remote key");
         assert_eq!(remote.addr.node, 1);
-        assert!(table.resolve(&w, 1, 999).is_none());
+        assert!(table.try_resolve(&w, 1, 999).unwrap().is_none());
     }
 
     #[test]
     fn cache_eliminates_repeat_lookup_reads() {
         let (sys, table) = build();
         let w = sys.worker(0, 0);
-        table.resolve(&w, 1, 3).unwrap();
+        table.try_resolve(&w, 1, 3).unwrap().unwrap();
         let before = sys.cluster().counters().snapshot();
-        table.resolve(&w, 1, 3).unwrap();
+        table.try_resolve(&w, 1, 3).unwrap().unwrap();
         let d = sys.cluster().counters().snapshot().since(&before);
         assert_eq!(d.reads, 0, "warm cache lookup must be free");
     }
@@ -194,7 +170,7 @@ mod tests {
     fn crashed_server_resolution_is_typed_not_stale() {
         let (sys, table) = build();
         let w = sys.worker(0, 0);
-        table.resolve(&w, 1, 3).unwrap(); // warm the cache
+        table.try_resolve(&w, 1, 3).unwrap().unwrap(); // warm the cache
         sys.cluster().faults().kill(1);
         // The warm entry answers without touching the fabric…
         assert!(table.try_resolve(&w, 1, 3).unwrap().is_some());

@@ -79,7 +79,8 @@ pub fn remote_scan(
     max: u32,
 ) -> Vec<(u64, u64)> {
     let qp = cluster.qp(from);
-    qp.send(host, SCAN_RPC_QUEUE, encode_req(tree_idx, lo, hi, max, reply_q));
+    qp.try_send(host, SCAN_RPC_QUEUE, encode_req(tree_idx, lo, hi, max, reply_q))
+        .expect("SEND to a crashed node");
     let reply = cluster.verbs().recv(from, reply_q);
     decode_pairs(&reply.payload)
 }
@@ -233,7 +234,7 @@ mod tests {
         }
         // Node 1 posts a request and dies before the service even starts:
         // the reply is undeliverable, and the service must shrug it off.
-        cluster.qp(1).send(0, SCAN_RPC_QUEUE, encode_req(0, 0, 9, 100, 55));
+        cluster.qp(1).try_send(0, SCAN_RPC_QUEUE, encode_req(0, 0, 9, 100, 55)).unwrap();
         cluster.faults().kill(1);
         let svc = spawn_scan_service(cluster.clone(), 0, vec![tree], exec);
         let got = remote_scan(&cluster, 2, 0, 77, 0, 0, 9, 100);

@@ -71,8 +71,12 @@ impl TpccWorker {
         self.home_w
     }
 
+    fn lookup(&self, table: &Table, node: NodeId, key: u64) -> Option<RecordAddr> {
+        table.try_resolve(&self.w, node, key).expect("resolve against a crashed node")
+    }
+
     fn resolve(&self, table: &Table, node: NodeId, key: u64) -> RecordAddr {
-        table.resolve(&self.w, node, key).unwrap_or_else(|| panic!("missing row {key:#x}"))
+        self.lookup(table, node, key).unwrap_or_else(|| panic!("missing row {key:#x}"))
     }
 
     fn node_of(&self, w: u64) -> NodeId {
@@ -85,7 +89,16 @@ impl TpccWorker {
         match self.rng.gen_range(0..100u32) {
             0..=44 => self.new_order(),
             45..=87 => self.payment(),
-            88..=91 => self.order_status(),
+            88..=91 => {
+                // A peer death mid-scan is tolerated: the transaction
+                // aborts typed and the mix moves on — order-status is a
+                // query, so there is nothing to repair.
+                match self.try_order_status() {
+                    Ok(_) | Err(TxnError::PeerDead(_)) | Err(TxnError::SimulatedCrash) => {}
+                    Err(e) => panic!("unexpected order-status failure: {e:?}"),
+                }
+                "order_status"
+            }
             92..=95 => self.delivery(),
             _ => self.stock_level(),
         }
@@ -294,21 +307,8 @@ impl TpccWorker {
 
     /// OS: read-only status of a customer's most recent order.
     ///
-    /// A peer death mid-scan is tolerated: the transaction aborts typed
-    /// inside [`TpccWorker::try_order_status`] and the mix moves on —
-    /// order-status is a query, so there is nothing to repair.
-    pub fn order_status(&mut self) -> &'static str {
-        match self.try_order_status() {
-            Ok(_) | Err(TxnError::PeerDead(_)) | Err(TxnError::SimulatedCrash) => {}
-            Err(e) => panic!("unexpected order-status failure: {e:?}"),
-        }
-        "order_status"
-    }
-
-    /// [`TpccWorker::order_status`] with typed dead-peer reporting:
-    /// returns the order's total, or [`TxnError::PeerDead`] /
-    /// [`TxnError::SimulatedCrash`] under the chaos harness instead of
-    /// panicking.
+    /// Returns the order's total, or [`TxnError::PeerDead`] /
+    /// [`TxnError::SimulatedCrash`] under the chaos harness.
     pub fn try_order_status(&mut self) -> Result<u64, TxnError> {
         let cfg = self.t.cfg.clone();
         let w = self.home_w;
@@ -326,14 +326,17 @@ impl TpccWorker {
             };
             let order_rec = t
                 .order
-                .resolve(ctx.worker(), node, keys::order(w, d, o_id))
+                .try_resolve(ctx.worker(), node, keys::order(w, d, o_id))
+                .expect("resolve against a crashed node")
                 .expect("indexed order exists");
             let of = fields(&ctx.acquire(&order_rec)?);
             let ol_cnt = of[3].min(15);
             let mut total = 0u64;
             for ol in 0..ol_cnt {
-                if let Some(rec) =
-                    t.order_line.resolve(ctx.worker(), node, keys::order_line(w, d, o_id, ol))
+                if let Some(rec) = t
+                    .order_line
+                    .try_resolve(ctx.worker(), node, keys::order_line(w, d, o_id, ol))
+                    .expect("resolve against a crashed node")
                 {
                     let lf = fields(&ctx.acquire(&rec)?);
                     total = total.wrapping_add(lf[3]);
@@ -370,7 +373,7 @@ impl TpccWorker {
             };
             // Read the order row to learn the customer and line count.
             let order_key = keys::order(w, d, o_id);
-            let Some(order_rec) = self.t.order.resolve(&self.w, node, order_key) else {
+            let Some(order_rec) = self.lookup(&self.t.order, node, order_key) else {
                 continue;
             };
             let of = {
@@ -392,7 +395,7 @@ impl TpccWorker {
             let mut ol_idx = Vec::new();
             for ol in 0..ol_cnt {
                 if let Some(rec) =
-                    self.t.order_line.resolve(&self.w, node, keys::order_line(w, d, o_id, ol))
+                    self.lookup(&self.t.order_line, node, keys::order_line(w, d, o_id, ol))
                 {
                     ol_idx.push(spec.local_writes.len());
                     spec.local_writes.push(rec);
@@ -547,7 +550,7 @@ mod tests {
         for _ in 0..5 {
             w.new_order();
         }
-        assert_eq!(w.order_status(), "order_status");
+        w.try_order_status().unwrap();
         assert_eq!(w.stock_level(), "stock_level");
         assert!(t.sys.stats().snapshot().ro_committed >= 1);
     }

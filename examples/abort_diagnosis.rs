@@ -41,10 +41,11 @@ fn main() {
 
     // The hot record: key 3 on machine 1.
     let qp = sys.cluster().qp(0);
-    let hot = match tables[1].remote_lookup(&qp, 3) {
-        LookupResult::Found { addr, .. } => RecordAddr::new(addr, VAL_CAP),
-        _ => unreachable!("key 3 was inserted above"),
-    };
+    let hot =
+        match tables[1].try_remote_lookup(&qp, 3).expect("remote lookup against a crashed node") {
+            LookupResult::Found { addr, .. } => RecordAddr::new(addr, VAL_CAP),
+            _ => unreachable!("key 3 was inserted above"),
+        };
 
     std::thread::scope(|s| {
         // Machine 1 parks a write lock on the hot record for 20 ms.
@@ -52,9 +53,11 @@ fn main() {
         s.spawn(move || {
             let qp = sys2.cluster().qp(1);
             let now = drtm::txn::softtime_nt(sys2.cluster().node(1).region());
-            record_ops::remote_lock_write(&qp, &hot, 1, now, 100).expect("lock must be free");
+            record_ops::remote_lock_write(&qp, &hot, 1, now, 100, false)
+                .expect("lock must be free");
             std::thread::sleep(Duration::from_millis(20));
-            record_ops::remote_unlock(&qp, &hot);
+            record_ops::try_remote_unlock(&qp, &hot, false)
+                .expect("RDMA WRITE against a crashed node");
         });
         std::thread::sleep(Duration::from_millis(5));
 

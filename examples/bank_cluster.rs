@@ -40,9 +40,10 @@ fn main() {
                 // Alternate the full mix with conserving-only batches so
                 // the invariant below is meaningful.
                 if i % 2 == 0 {
-                    w.send_payment()
+                    w.try_send_payment().expect("unexpected transaction failure");
+                    "send_payment"
                 } else {
-                    w.run_one()
+                    w.try_run_one().expect("transaction hit a crashed node")
                 }
             }
         },

@@ -43,7 +43,7 @@ fn build(crash: Option<CrashPoint>) -> (Arc<DrTm>, Table, NodeLayout) {
 
 fn balance(sys: &Arc<DrTm>, table: &Table, node: u16) -> u64 {
     let w = sys.worker(node, 0);
-    let rec = table.resolve(&w, 1, 0).unwrap();
+    let rec = table.try_resolve(&w, 1, 0).expect("resolve against a crashed node").unwrap();
     let mut b = [0u8; 8];
     sys.cluster().node(1).region().read_nt(rec.addr.offset + 32, &mut b);
     u64::from_le_bytes(b)
@@ -53,7 +53,7 @@ fn run_scenario(crash: CrashPoint) {
     println!("--- scenario: {crash:?} ---");
     let (sys, table, layout) = build(Some(crash));
     let mut w = sys.worker(0, 0);
-    let rec = table.resolve(&w, 1, 0).unwrap();
+    let rec = table.try_resolve(&w, 1, 0).expect("resolve against a crashed node").unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use drtm::htm::{Executor, HtmStats};
 use drtm::memstore::{Arena, ClusterHash};
 use drtm::rdma::{Cluster, ClusterConfig};
-use drtm::txn::{DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnSpec};
+use drtm::txn::{DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnSpec, Worker};
 use drtm::workloads::resolve::Table;
 
 fn main() {
@@ -46,13 +46,13 @@ fn main() {
     let mut worker = sys.worker(0, 0);
 
     let read_u64 = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
+    let resolve = |w: &Worker, node, key| {
+        accounts.try_resolve(w, node, key).expect("resolve against a crashed node").unwrap()
+    };
 
     // 5. Local transaction: move 100 coins between two local accounts.
     let spec = TxnSpec {
-        local_writes: vec![
-            accounts.resolve(&worker, 0, 1).unwrap(),
-            accounts.resolve(&worker, 0, 2).unwrap(),
-        ],
+        local_writes: vec![resolve(&worker, 0, 1), resolve(&worker, 0, 2)],
         ..Default::default()
     };
     worker
@@ -68,9 +68,9 @@ fn main() {
 
     // 6. Distributed transaction: machine 0 debits its account 1 and
     //    credits account 7 on machine 1 (locked with RDMA CAS).
-    let remote: RecordAddr = accounts.resolve(&worker, 1, 7).unwrap();
+    let remote: RecordAddr = resolve(&worker, 1, 7);
     let spec = TxnSpec {
-        local_writes: vec![accounts.resolve(&worker, 0, 1).unwrap()],
+        local_writes: vec![resolve(&worker, 0, 1)],
         remote_writes: vec![remote],
         ..Default::default()
     };
@@ -87,9 +87,10 @@ fn main() {
 
     // 7. Read-only transaction: lease-protected consistent reads of both
     //    machines' accounts.
-    let r0 = accounts.resolve(&worker, 0, 1).unwrap();
-    let r1 = accounts.resolve(&worker, 1, 7).unwrap();
-    let values = worker.read_only_records(&[r0, r1]);
+    let r0 = resolve(&worker, 0, 1);
+    let r1 = resolve(&worker, 1, 7);
+    let values =
+        worker.try_read_only_records(&[r0, r1]).expect("read-only transaction hit a crashed peer");
     println!(
         "read-only snapshot: account(0,1) = {}, account(1,7) = {}",
         read_u64(&values[0]),

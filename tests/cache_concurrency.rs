@@ -58,7 +58,7 @@ fn readers_never_observe_torn_slots() {
     let cache = LocationCache::new(64, 16);
     let qp = fx.cluster.qp(1);
     for k in 1..=fx.keys {
-        cache.lookup(&qp, &fx.table, k);
+        cache.try_lookup(&qp, &fx.table, k).unwrap();
     }
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -70,7 +70,7 @@ fn readers_never_observe_torn_slots() {
                 let mut checked = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     k = k % fx.keys + 1;
-                    if let Some((addr, slot, _)) = cache.lookup(&qp, &fx.table, k) {
+                    if let Some((addr, slot, _)) = cache.try_lookup(&qp, &fx.table, k).unwrap() {
                         assert_eq!(slot.key, k, "lookup returned a foreign slot");
                         let (_, value) = fx
                             .table
@@ -148,7 +148,7 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 Op::Lookup(k) => {
-                    let a = sharded.lookup(&qp, &fx.table, k);
+                    let a = sharded.try_lookup(&qp, &fx.table, k).unwrap();
                     let b = mutexed.lookup(&qp, &fx.table, k);
                     prop_assert_eq!(a, b, "op {} diverged: lookup({})", i, k);
                 }

@@ -96,7 +96,7 @@ fn fixture_with_doorbell(
     let accounts = Arc::new(Table::new(shards));
     let w = sys.worker(0, 0);
     let recs = (0..3u16)
-        .map(|n| (0..8u64).map(|k| accounts.resolve(&w, n, k).unwrap()).collect())
+        .map(|n| (0..8u64).map(|k| accounts.try_resolve(&w, n, k).unwrap().unwrap()).collect())
         .collect();
     Fixture { sys, accounts, layout, recs, _timer: timer }
 }
@@ -202,8 +202,8 @@ fn crash_and_recover_with_doorbell(
     let retries = if is_fallback_point(p) { Some(0) } else { None };
     let f = fixture_with_doorbell(FaultConfig::default(), retries, doorbell);
     let mut w = f.sys.worker(0, 0);
-    let r1 = f.accounts.resolve(&w, 1, 3).unwrap();
-    let r2 = f.accounts.resolve(&w, 2, 5).unwrap();
+    let r1 = f.accounts.try_resolve(&w, 1, 3).unwrap().unwrap();
+    let r2 = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
     f.sys.cluster().faults().arm_crash(0, p.name());
     let spec = TxnSpec { remote_writes: vec![r1, r2], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
@@ -247,7 +247,7 @@ fn crash_matrix_every_point_recovers_to_the_exact_report() {
         // The revived machine rejoins and can transact immediately.
         f.sys.cluster().faults().revive(0);
         let mut w = f.sys.worker(0, 0);
-        let rec = f.accounts.resolve(&w, 2, 5).unwrap();
+        let rec = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
@@ -301,9 +301,9 @@ fn expected_fallback_report(p: CrashPoint) -> RecoveryReport {
 fn fallback_crash_and_recover(p: CrashPoint) -> (Fixture, RecoveryReport) {
     let f = fixture(FaultConfig::default(), Some(0));
     let mut w = f.sys.worker(0, 0);
-    let l = f.accounts.resolve(&w, 0, 1).unwrap();
-    let r1 = f.accounts.resolve(&w, 1, 3).unwrap();
-    let r2 = f.accounts.resolve(&w, 2, 5).unwrap();
+    let l = f.accounts.try_resolve(&w, 0, 1).unwrap().unwrap();
+    let r1 = f.accounts.try_resolve(&w, 1, 3).unwrap().unwrap();
+    let r2 = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
     f.sys.cluster().faults().arm_crash(0, p.name());
     let spec = TxnSpec { local_writes: vec![l], remote_writes: vec![r1, r2], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
@@ -355,7 +355,7 @@ fn fallback_pipeline_crash_points_recover_local_and_remote_updates() {
         // local record the crashed fallback held.
         f.sys.cluster().faults().revive(0);
         let mut w = f.sys.worker(0, 0);
-        let rec = f.accounts.resolve(&w, 0, 1).unwrap();
+        let rec = f.accounts.try_resolve(&w, 0, 1).unwrap().unwrap();
         let spec = TxnSpec { local_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u64::from_le_bytes(ctx.local_write_cur(0)?[..8].try_into().unwrap());
@@ -374,7 +374,7 @@ fn fallback_pipeline_crash_points_recover_local_and_remote_updates() {
 fn ops_against_a_corpse_fail_typed_and_bounded() {
     let f = fixture(FaultConfig::default(), None);
     let w = f.sys.worker(0, 0);
-    let rec = f.accounts.resolve(&w, 1, 2).unwrap();
+    let rec = f.accounts.try_resolve(&w, 1, 2).unwrap().unwrap();
     f.sys.cluster().faults().kill(1);
 
     // Raw fabric ops: typed error, immediately.
@@ -402,7 +402,7 @@ fn ops_against_a_corpse_fail_typed_and_bounded() {
     assert!(snap.peer_dead_aborts >= 2, "got {}", snap.peer_dead_aborts);
 
     // Local work is unaffected and the peer serves again once revived.
-    let local = f.accounts.resolve(&w, 0, 1).unwrap();
+    let local = f.accounts.try_resolve(&w, 0, 1).unwrap().unwrap();
     let spec = TxnSpec { local_writes: vec![local], ..Default::default() };
     w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.local_write_cur(0)?[..8].try_into().unwrap());
@@ -429,7 +429,7 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
     let (f, _report) = {
         let f = fixture(FaultConfig::default(), Some(0));
         let mut w = f.sys.worker(0, 0);
-        let rec = f.accounts.resolve(&w, 1, 6).unwrap();
+        let rec = f.accounts.try_resolve(&w, 1, 6).unwrap().unwrap();
         f.sys.cluster().faults().arm_crash(0, CrashPoint::FallbackAfterWalBeforeApply.name());
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         let r: Result<(), _> = w.execute(&spec, |ctx| {
@@ -444,7 +444,7 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
     // transaction must escape with a typed abort, within the grace
     // period, *before* anyone runs recovery.
     let mut w2 = f.sys.worker(2, 0);
-    let rec = f.accounts.resolve(&w2, 1, 6).unwrap();
+    let rec = f.accounts.try_resolve(&w2, 1, 6).unwrap().unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let t0 = std::time::Instant::now();
     let r: Result<(), _> = w2.execute(&spec, |ctx| {
@@ -548,8 +548,8 @@ fn racing_survivors_conserve_redo_accounting() {
 fn crash_and_recover_raw(p: CrashPoint, seed: u64) -> Fixture {
     let f = fixture(FaultConfig { seed, ..Default::default() }, None);
     let mut w = f.sys.worker(0, 0);
-    let r1 = f.accounts.resolve(&w, 1, 3).unwrap();
-    let r2 = f.accounts.resolve(&w, 2, 5).unwrap();
+    let r1 = f.accounts.try_resolve(&w, 1, 3).unwrap().unwrap();
+    let r2 = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
     f.sys.cluster().faults().arm_crash(0, p.name());
     let spec = TxnSpec { remote_writes: vec![r1, r2], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {

@@ -82,8 +82,8 @@ proptest! {
                     if src == dst {
                         continue;
                     }
-                    let src_rec = table.resolve(&w, sn, src).expect("populated");
-                    let dst_rec = table.resolve(&w, dn, dst).expect("populated");
+                    let src_rec = table.try_resolve(&w, sn, src).unwrap().expect("populated");
+                    let dst_rec = table.try_resolve(&w, dn, dst).unwrap().expect("populated");
                     let mut spec = TxnSpec::default();
                     let src_local = sn == worker_node;
                     let dst_local = dn == worker_node;
@@ -142,7 +142,7 @@ proptest! {
         for n in 0..nodes as u16 {
             for k in 0..PER_NODE {
                 let gid = n as u64 * PER_NODE + k;
-                let rec = table.resolve(&w, n, gid).expect("populated");
+                let rec = table.try_resolve(&w, n, gid).unwrap().expect("populated");
                 let region = sys.cluster().node(n).region();
                 let st = LockState(region.read_u64_nt(rec.addr.offset));
                 prop_assert!(!st.is_write_locked(), "stray lock on ({n},{k})");

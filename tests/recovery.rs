@@ -50,7 +50,7 @@ fn fixture(crash: Option<CrashPoint>) -> Fixture {
 
 fn value(f: &Fixture, node: u16, key: u64) -> u64 {
     let w = f.sys.worker(0, 0);
-    let rec = f.accounts.resolve(&w, node, key).unwrap();
+    let rec = f.accounts.try_resolve(&w, node, key).unwrap().unwrap();
     let mut b = [0u8; 8];
     f.sys.cluster().node(node).region().read_nt(rec.addr.offset + 32, &mut b);
     u64::from_le_bytes(b)
@@ -58,7 +58,7 @@ fn value(f: &Fixture, node: u16, key: u64) -> u64 {
 
 fn state(f: &Fixture, node: u16, key: u64) -> LockState {
     let w = f.sys.worker(0, 0);
-    let rec = f.accounts.resolve(&w, node, key).unwrap();
+    let rec = f.accounts.try_resolve(&w, node, key).unwrap().unwrap();
     LockState(f.sys.cluster().node(node).region().read_u64_nt(rec.addr.offset))
 }
 
@@ -67,8 +67,8 @@ fn state(f: &Fixture, node: u16, key: u64) -> LockState {
 fn crash_and_recover(crash: CrashPoint) -> Fixture {
     let f = fixture(Some(crash));
     let mut w = f.sys.worker(0, 0);
-    let r1 = f.accounts.resolve(&w, 1, 3).unwrap();
-    let r2 = f.accounts.resolve(&w, 2, 5).unwrap();
+    let r1 = f.accounts.try_resolve(&w, 1, 3).unwrap().unwrap();
+    let r2 = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
     let spec = TxnSpec { remote_writes: vec![r1, r2], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         for i in 0..2 {
@@ -122,7 +122,7 @@ fn recovery_is_idempotent_and_cluster_stays_usable() {
     // records immediately after recovery.
     let mut w = f.sys.worker(1, 0);
     w.set_crash_point(None);
-    let rec = f.accounts.resolve(&w, 2, 5).unwrap();
+    let rec = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
@@ -137,7 +137,7 @@ fn recovery_is_idempotent_and_cluster_stays_usable() {
 fn clean_execution_leaves_empty_logs() {
     let f = fixture(None);
     let mut w = f.sys.worker(0, 0);
-    let rec = f.accounts.resolve(&w, 1, 0).unwrap();
+    let rec = f.accounts.try_resolve(&w, 1, 0).unwrap().unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     for _ in 0..5 {
         w.execute(&spec, |ctx| {
@@ -160,7 +160,7 @@ fn failure_detector_drives_recovery_end_to_end() {
 
     let f = fixture(Some(CrashPoint::AfterHtmCommit));
     let mut w = f.sys.worker(0, 0);
-    let rec = f.accounts.resolve(&w, 1, 2).unwrap();
+    let rec = f.accounts.try_resolve(&w, 1, 2).unwrap().unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
@@ -197,7 +197,7 @@ fn chop_info_survives_a_crash() {
     let mut w = f.sys.worker(0, 1);
     // A chopped parent transaction: piece 2 of 5 is in flight.
     w.log_chop(ChopInfo { kind: 4, piece: 2, total: 5, arg: 9 });
-    let rec = f.accounts.resolve(&w, 1, 6).unwrap();
+    let rec = f.accounts.try_resolve(&w, 1, 6).unwrap().unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());

@@ -57,7 +57,7 @@ fn total(f: &Fixture, nodes: usize) -> u64 {
     for n in 0..nodes as NodeId {
         for k in 0..PER_NODE {
             let gid = n as u64 * PER_NODE + k;
-            let rec = f.accounts.resolve(&w, n, gid).expect("populated");
+            let rec = f.accounts.try_resolve(&w, n, gid).unwrap().expect("populated");
             let mut b = [0u8; 8];
             f.sys.cluster().node(n).region().read_nt(rec.addr.offset + 32, &mut b);
             sum = sum.wrapping_add(u(&b));
@@ -89,8 +89,8 @@ fn distributed_transfers_conserve_total() {
                         if dst == src {
                             dst = dst_node as u64 * PER_NODE + (dst + 1) % PER_NODE;
                         }
-                        let src_rec = accounts.resolve(&w, n, src).unwrap();
-                        let dst_rec = accounts.resolve(&w, dst_node, dst).unwrap();
+                        let src_rec = accounts.try_resolve(&w, n, src).unwrap().unwrap();
+                        let dst_rec = accounts.try_resolve(&w, dst_node, dst).unwrap().unwrap();
                         let mut spec = TxnSpec::default();
                         spec.local_writes.push(src_rec);
                         let dst_remote = dst_node != n;
@@ -137,8 +137,8 @@ fn read_only_snapshots_are_consistent() {
             let stop = stop.clone();
             s.spawn(move || {
                 let mut w = sys.worker(0, 0);
-                let a = accounts.resolve(&w, 0, 0).unwrap();
-                let b = accounts.resolve(&w, 1, PER_NODE).unwrap();
+                let a = accounts.try_resolve(&w, 0, 0).unwrap().unwrap();
+                let b = accounts.try_resolve(&w, 1, PER_NODE).unwrap().unwrap();
                 let spec =
                     TxnSpec { local_writes: vec![a], remote_writes: vec![b], ..Default::default() };
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -160,10 +160,10 @@ fn read_only_snapshots_are_consistent() {
             let stop = stop.clone();
             s.spawn(move || {
                 let mut w = sys.worker(1, 1);
-                let a = accounts.resolve(&w, 0, 0).unwrap();
-                let b = accounts.resolve(&w, 1, PER_NODE).unwrap();
+                let a = accounts.try_resolve(&w, 0, 0).unwrap().unwrap();
+                let b = accounts.try_resolve(&w, 1, PER_NODE).unwrap().unwrap();
                 for _ in 0..60 {
-                    let vals = w.read_only_records(&[a, b]);
+                    let vals = w.try_read_only_records(&[a, b]).unwrap();
                     assert_eq!(
                         u(&vals[0]).wrapping_add(u(&vals[1])),
                         2 * INIT,
@@ -184,7 +184,7 @@ fn cached_resolution_stays_correct() {
     let mut w = f.sys.worker(0, 0);
     let gid = PER_NODE + 5; // on node 1
     for round in 0..10u64 {
-        let rec = f.accounts.resolve(&w, 1, gid).unwrap();
+        let rec = f.accounts.try_resolve(&w, 1, gid).unwrap().unwrap();
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u(ctx.remote_write_cur(0));
@@ -192,7 +192,7 @@ fn cached_resolution_stays_correct() {
             Ok(())
         })
         .unwrap();
-        let check = w.read_only_records(&[rec]);
+        let check = w.try_read_only_records(&[rec]).unwrap();
         assert_eq!(u(&check[0]), INIT + round + 1);
     }
     // After the first resolution, the rest must be cache hits.
