@@ -31,9 +31,10 @@
 #
 # With --chaos-smoke, additionally runs the deterministic chaos matrix
 # (tests/chaos.rs) at minimum scale — including the fallback
-# log-before-unlock crash points — and the crash+recovery plus
-# durable-free read-only segments of tab6_durability, validating its
-# emitted JSON (extra.recovery_ms, extra.ro_log_bytes == 0).
+# log-before-unlock crash points — the crash_recovery example (asserts
+# idempotent recovery and restored balances), and the crash+recovery
+# plus durable-free read-only segments of tab6_durability, validating
+# its emitted JSON (extra.recovery_ms, extra.ro_log_bytes == 0).
 #
 # With --membership-smoke, additionally runs the cluster-membership
 # gates at minimum scale: the membership crash points of the chaos
@@ -45,10 +46,30 @@
 # (extra.membership_throughput_ratio >= 0.6, extra.join_ms/drain_ms
 # positive).
 #
+# Every name-filtered smoke stage fails when one of its filters matches
+# no test, so a renamed test cannot turn a gate into "running 0 tests".
+#
 # The build is fully offline: third-party deps resolve to the minimal
 # vendored stubs under vendor/ via [patch.crates-io] in Cargo.toml.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# filtered_tests <cargo test args> -- <filters...>: checks that every
+# filter matches at least one test of the target, then runs the matching
+# tests at minimum scale.
+filtered_tests() {
+  local target=() f listed
+  while [ "$1" != "--" ]; do target+=("$1"); shift; done
+  shift
+  for f in "$@"; do
+    listed="$(cargo test -q "${target[@]}" -- --list "$f")"
+    if ! grep -q ': test$' <<<"$listed"; then
+      echo "test filter '$f' matches no test in: ${target[*]}" >&2
+      exit 1
+    fi
+  done
+  DRTM_SCALE=0.01 cargo test -q "${target[@]}" -- "$@"
+}
 
 BENCH_SMOKE=0
 CHAOS_SMOKE=0
@@ -105,22 +126,21 @@ fi
 
 if [ "$RESIZE_SMOKE" = 1 ]; then
   echo "== resize smoke: split-order observational equivalence =="
-  DRTM_SCALE=0.01 cargo test -q --test proptest_stores elastic_hash_matches_cluster_hash
+  filtered_tests --test proptest_stores -- elastic_hash_matches_cluster_hash
   echo "== resize smoke: live-migration workload (typed aborts, dual-read, conservation) =="
-  DRTM_SCALE=0.01 cargo test -q -p drtm-workloads elastic
+  filtered_tests -p drtm-workloads -- elastic
   echo "== resize smoke: migration crash points =="
-  DRTM_SCALE=0.01 cargo test -q --test chaos migration
+  filtered_tests --test chaos -- migration
 fi
 
 if [ "$MEMBERSHIP_SMOKE" = 1 ]; then
   echo "== membership smoke: membership crash points + detector dispatch + e2e =="
-  DRTM_SCALE=0.01 cargo test -q --test chaos -- \
+  filtered_tests --test chaos -- \
     join_crash_points leave_mid_drain failure_detector_drives elastic_kv_serves
   echo "== membership smoke: random join/leave/kill interleavings vs model =="
   DRTM_SCALE=0.01 cargo test -q --test membership
   echo "== membership smoke: workload round-trip + typed routing gate =="
-  DRTM_SCALE=0.01 cargo test -q -p drtm-workloads -- \
-    join_then_leave membership_gate
+  filtered_tests -p drtm-workloads -- join_then_leave membership_gate
   echo "== membership smoke: fig12 membership-churn segment =="
   MEM_OUT="$(mktemp -d)"
   SCRATCH_DIRS+=("$MEM_OUT")
@@ -138,7 +158,9 @@ if [ "$CHAOS_SMOKE" = 1 ]; then
   echo "== chaos smoke: crash-point matrix at minimum scale =="
   DRTM_SCALE=0.01 cargo test -q --test chaos
   echo "== chaos smoke: fallback log-before-unlock crash points =="
-  DRTM_SCALE=0.01 cargo test -q --test chaos fallback_pipeline
+  filtered_tests --test chaos -- fallback_pipeline
+  echo "== chaos smoke: crash_recovery example =="
+  cargo run --release --example crash_recovery
   echo "== chaos smoke: tab6 crash+recovery + durable-free RO segments =="
   CHAOS_OUT="$(mktemp -d)"
   SCRATCH_DIRS+=("$CHAOS_OUT")

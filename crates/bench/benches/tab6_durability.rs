@@ -16,7 +16,7 @@ use drtm_bench::report::{causes_of, rdma_ops_per_txn, BenchReport};
 use drtm_bench::runners::{calvin_run, tpcc_run_with};
 use drtm_bench::{banner, diagnostics, f, mops, row, scaled};
 use drtm_calvin::{Calvin, CalvinConfig};
-use drtm_core::{recover_node, CrashPoint, DrTmConfig, TxnError};
+use drtm_core::{CrashPoint, DrTmConfig, TxnError};
 use drtm_workloads::smallbank::{SmallBank, SmallBankConfig};
 use drtm_workloads::tpcc::TpccConfig;
 
@@ -138,7 +138,7 @@ fn main() {
     }
     assert!(node2_dead, "the armed crash must have fired");
     let rec_t0 = std::time::Instant::now();
-    let rec = recover_node(sb.sys.cluster(), 2, &sb.sys.layout(2), 0);
+    let rec = sb.sys.recover(2, 0).expect("recovery from a live survivor");
     let recovery_ms = rec_t0.elapsed().as_secs_f64() * 1e3;
     sb.sys.cluster().faults().revive(2);
     for w in workers.iter_mut() {

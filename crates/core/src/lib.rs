@@ -13,8 +13,8 @@
 //!   fallback handler of §6.2;
 //! * [`Worker::try_read_only`] — the HTM-free read-only scheme of §4.5;
 //! * [`SoftTimer`] — the softtime service of §6.1;
-//! * [`LogSlot`]/[`recover_node`] — cooperative logging and recovery for
-//!   durability (§4.6, Figure 7);
+//! * [`LogSlot`]/[`DrTm::recover`] — cooperative logging and the one
+//!   crash-recovery entry for durability (§4.6, Figure 7);
 //! * the per-record [`LockState`] word of Figure 4 and the record-level
 //!   operations of Figures 5/6 in [`record_ops`].
 
@@ -41,16 +41,16 @@ pub use log::{
     LOG_LOCK_AHEAD, LOG_RECOVERING, LOG_WRITE_AHEAD,
 };
 pub use membership::{
-    JoinReport, LeaveReport, MembershipCoordinator, MembershipError, MembershipRecovery,
-    MembershipTable, NodeState, RecoveryDirection, JOIN_BEFORE_ACTIVATE_SITE, JOIN_MID_STREAM_SITE,
-    LEAVE_MID_DRAIN_SITE, MAX_JOURNAL_RANGES, MEMBERSHIP_JOURNAL_BYTES,
+    JoinReport, LeaveReport, MembershipCoordinator, MembershipError, MembershipTable, NodeState,
+    RecoveryDirection, JOIN_BEFORE_ACTIVATE_SITE, JOIN_MID_STREAM_SITE, LEAVE_MID_DRAIN_SITE,
+    MAX_JOURNAL_RANGES, MEMBERSHIP_JOURNAL_BYTES,
 };
 pub use record::{
     local_read, local_write, remote_lock_write, remote_read, try_remote_unlock,
     try_remote_write_back, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASED,
     ABORT_LEASE_EXPIRED, ABORT_LOCKED,
 };
-pub use recovery::{recover_node, RecoveryReport};
+pub use recovery::RecoveryReport;
 pub use ro::{RoCtx, RoRestart};
 pub use state::{LockState, INIT};
 pub use stats::{TxnStats, TxnStatsSnapshot};

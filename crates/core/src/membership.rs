@@ -30,29 +30,30 @@
 //!
 //! * **death mid-join** → roll *back*: the joiner never activated, so
 //!   the cluster returns to its pre-join geometry. The in-flight range
-//!   is collected by [`Resharder::recover`] (drop the partial copy,
-//!   release the migration lock), completed donations are evacuated off
-//!   the corpse back to their recorded donors, and the corpse retires.
-//!   No orphaned ranges, no leaked locks, donors writable again.
+//!   is collected by [`Resharder::recover`] like any migration towards
+//!   a dead machine (drop the partial copy, release the migration
+//!   lock), completed donations are evacuated off the corpse back to
+//!   their recorded donors, and the corpse retires. No orphaned ranges,
+//!   no leaked locks, donors writable again.
 //! * **death mid-leave** → roll *forward*: the departure was already
 //!   promised, so the drain finishes from the journal. The in-flight
 //!   range restarts as an NVRAM evacuation to its recorded receiver,
 //!   ranges the journal never reached are evacuated to the active
 //!   machines round-robin, and the corpse retires.
 //!
-//! Both paths run the ordinary WAL sweep ([`recover_node`]) *first*, so
-//! locks leaked by transactions that died with the subject are released
-//! before any row moves — the precondition [`Resharder::evacuate_nt`]
-//! documents.
+//! Both paths are the elastic step of [`DrTm::recover`], which runs the
+//! ordinary WAL sweep *first*, so locks leaked by transactions that died
+//! with the subject are released before any row moves — the
+//! precondition [`Resharder::evacuate_nt`] documents.
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use drtm_memstore::Resharder;
-use drtm_rdma::{Cluster, FabricError, NodeId};
+use drtm_memstore::{Journal, Resharder};
+use drtm_rdma::{FabricError, NodeId};
 
 use crate::alloc_layout::NodeLayout;
 use crate::failure::FailureDetector;
-use crate::recovery::{recover_node, RecoveryReport};
+use crate::recovery::{sweep_logs, RecoveryReport};
 use crate::txn::DrTm;
 
 /// Crash site fired at the bottom of each join donation (the joiner dies
@@ -69,16 +70,16 @@ pub const LEAVE_MID_DRAIN_SITE: &str = "leave-mid-drain";
 
 /// Size of the per-machine membership journal: a 64-byte header plus
 /// 32 bytes per journaled range.
-pub const MEMBERSHIP_JOURNAL_BYTES: usize = HEADER_BYTES + MAX_JOURNAL_RANGES * RECORD_BYTES;
+pub const MEMBERSHIP_JOURNAL_BYTES: usize = MembershipJournal::bytes(MAX_JOURNAL_RANGES);
 
 /// Most ranges one join or leave can journal.
 pub const MAX_JOURNAL_RANGES: usize = 30;
 
-const HEADER_BYTES: usize = 64;
-const RECORD_BYTES: usize = 32;
+/// The membership journal on the subject's own region: tagged with the
+/// op, field `[subject]`, one record `[lo, hi, peer]` per range.
+type MembershipJournal = Journal<1, 3>;
 
-/// Journal header op words.
-const OP_IDLE: u64 = 0;
+/// Journal tags.
 const OP_JOIN: u64 = 1;
 const OP_LEAVE: u64 = 2;
 
@@ -174,7 +175,7 @@ pub enum MembershipError {
     /// A leave would empty the cluster.
     LastActiveNode,
     /// The subject machine died mid-protocol; the journal survives and
-    /// [`MembershipCoordinator::recover`] repairs the cluster.
+    /// [`DrTm::recover`] repairs the cluster.
     SubjectDied {
         /// The dead machine.
         node: NodeId,
@@ -241,41 +242,17 @@ pub enum RecoveryDirection {
     RolledForward,
 }
 
-/// What [`MembershipCoordinator::recover`] did for one dead subject.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipRecovery {
-    /// The dead machine.
-    pub node: NodeId,
-    /// Rollback (join) or roll-forward (leave).
-    pub direction: RecoveryDirection,
-    /// The transaction-log sweep run before any row moved.
-    pub wal: RecoveryReport,
-    /// Migration locks released for the in-flight range.
-    pub released_locks: u64,
-    /// Partially copied rows dropped from the in-flight range.
-    pub dropped_rows: u64,
-    /// Rows evacuated off the corpse's NVRAM.
-    pub evacuated_keys: u64,
-    /// Final placement of every range the subject touched:
-    /// `(lo, hi, owner)` — donors for a rollback, receivers for a
-    /// roll-forward.
-    pub ranges: Vec<(u64, u64, NodeId)>,
-    /// Membership epoch after the corpse retired.
-    pub epoch: u64,
-}
-
 /// Executes joins and leaves against a live cluster and repairs them
 /// when the failure detector reports the subject dead mid-protocol.
 ///
 /// The coordinator composes the pieces the repo already has: the fabric
-/// grows via [`Cluster::add_node`], rows stream via
+/// grows via [`drtm_rdma::Cluster::add_node`], rows stream via
 /// [`Resharder::migrate`], crashes are collected via
-/// [`Resharder::recover`] + [`Resharder::evacuate_nt`], and the
-/// transaction layer's [`recover_node`] sweeps the WAL. The workload
+/// [`Resharder::recover`] + [`Resharder::evacuate_nt`], and
+/// [`DrTm::recover`] runs its repair after the WAL sweep. The workload
 /// supplies a `provision` callback that carves the new machine's region
 /// (layout, shard, services) because table geometry is workload-owned.
 pub struct MembershipCoordinator {
-    cluster: Arc<Cluster>,
     sys: Arc<DrTm>,
     resharder: Arc<Resharder>,
     table: Arc<MembershipTable>,
@@ -298,22 +275,24 @@ impl MembershipCoordinator {
     /// during a join; it must reserve the standard [`NodeLayout`] on the
     /// new region, create the workload's shard there and register it
     /// with the resharder (plus any services), then return the layout.
+    /// The coordinator registers itself as `sys`'s elastic recovery step.
     pub fn new(
-        cluster: Arc<Cluster>,
         sys: Arc<DrTm>,
         resharder: Arc<Resharder>,
         table: Arc<MembershipTable>,
         provision: impl Fn(NodeId) -> NodeLayout + Send + Sync + 'static,
-    ) -> Self {
-        MembershipCoordinator {
-            cluster,
+    ) -> Arc<Self> {
+        let coordinator = Arc::new(MembershipCoordinator {
             sys,
             resharder,
             table,
             detector: Mutex::new(None),
             provision: Box::new(provision),
             op: Mutex::new(()),
-        }
+        });
+        *coordinator.sys.coordinator.write().expect("coordinator lock poisoned") =
+            Arc::downgrade(&coordinator);
+        coordinator
     }
 
     /// Attaches a failure detector: joins arm its heartbeat slot, leaves
@@ -327,74 +306,14 @@ impl MembershipCoordinator {
         &self.table
     }
 
-    // ---- journal primitives (all on the subject's own region) ----
-
-    fn journal_off(&self, node: NodeId) -> usize {
-        self.sys.layout(node).membership_journal_off
-    }
-
-    fn journal_arm(&self, node: NodeId, op: u64) {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        // Fields first, op word last: a torn arm reads as idle.
-        region.write_u64_nt(j + 8, node as u64);
-        region.write_u64_nt(j + 16, 0); // record count
-        region.write_u64_nt(j, op);
-    }
-
-    fn journal_clear(&self, node: NodeId) {
-        let region = self.cluster.node(node).region();
-        region.write_u64_nt(self.journal_off(node), OP_IDLE);
-    }
-
-    /// Appends one range record (fields first, count-bump last) and
-    /// returns its index.
-    fn journal_append(&self, node: NodeId, lo: u64, hi: u64, peer: NodeId) -> usize {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        let i = region.read_u64_nt(j + 16) as usize;
-        assert!(i < MAX_JOURNAL_RANGES, "membership journal overflow");
-        let rec = j + HEADER_BYTES + i * RECORD_BYTES;
-        region.write_u64_nt(rec, lo);
-        region.write_u64_nt(rec + 8, hi);
-        region.write_u64_nt(rec + 16, peer as u64);
-        region.write_u64_nt(rec + 24, 0); // done flag
-        region.write_u64_nt(j + 16, (i + 1) as u64);
-        i
-    }
-
-    fn journal_mark_done(&self, node: NodeId, index: usize) {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        region.write_u64_nt(j + HEADER_BYTES + index * RECORD_BYTES + 24, 1);
-    }
-
-    /// Reads the surviving journal of `node`: `(op, records)` where each
-    /// record is `(lo, hi, peer, done)`.
-    fn journal_read(&self, node: NodeId) -> (u64, Vec<(u64, u64, NodeId, bool)>) {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        let op = region.read_u64_nt(j);
-        if op == OP_IDLE {
-            return (OP_IDLE, Vec::new());
-        }
-        let n = (region.read_u64_nt(j + 16) as usize).min(MAX_JOURNAL_RANGES);
-        let records = (0..n)
-            .map(|i| {
-                let rec = j + HEADER_BYTES + i * RECORD_BYTES;
-                (
-                    region.read_u64_nt(rec),
-                    region.read_u64_nt(rec + 8),
-                    region.read_u64_nt(rec + 16) as NodeId,
-                    region.read_u64_nt(rec + 24) == 1,
-                )
-            })
-            .collect();
-        (op, records)
+    /// `node`'s membership journal and the region it lives on.
+    fn journal(&self, node: NodeId) -> (MembershipJournal, &drtm_htm::Region) {
+        let off = self.sys.layout(node).membership_journal_off;
+        (MembershipJournal::at(off, MAX_JOURNAL_RANGES), self.sys.cluster().node(node).region())
     }
 
     fn retire_everywhere(&self, node: NodeId) -> u64 {
-        self.cluster.faults().retire(node);
+        self.sys.cluster().faults().retire(node);
         if let Some(fd) = self.detector.lock().expect("detector lock poisoned").as_ref() {
             fd.retire(node);
         }
@@ -406,16 +325,16 @@ impl MembershipCoordinator {
     /// Admits a new machine: provisions its slot on the live fabric,
     /// streams one donation range from every active machine, then flips
     /// it `Active`. On [`MembershipError::SubjectDied`] the garbage
-    /// state is left exactly as the crash produced it — the failure
-    /// detector's [`MembershipCoordinator::recover`] rolls it back.
+    /// state is left exactly as the crash produced it — [`DrTm::recover`]
+    /// on the corpse rolls it back.
     pub fn join(&self) -> Result<JoinReport, MembershipError> {
         let _g = self.op.lock().expect("membership op lock poisoned");
-        let node = self.cluster.add_node().ok_or(MembershipError::ClusterFull)?;
+        let node = self.sys.cluster().add_node().ok_or(MembershipError::ClusterFull)?;
         // Provision before any state is published: region layout, shard,
         // services — and a softtime value so leases work immediately.
         let layout = (self.provision)(node);
         self.sys.add_node_layout(node, layout);
-        crate::time::SoftTimer::tick_now(&self.cluster);
+        crate::time::SoftTimer::tick_now(self.sys.cluster());
         if let Some(fd) = self.detector.lock().expect("detector lock poisoned").as_ref() {
             let slot = fd.add_node();
             assert!(
@@ -429,22 +348,23 @@ impl MembershipCoordinator {
         }
         // Journal the intent, then publish Joining: from here on a crash
         // of the subject is a journaled membership death.
-        self.journal_arm(node, OP_JOIN);
+        let (journal, region) = self.journal(node);
+        journal.arm(region, OP_JOIN, [node as u64]);
         self.table.set(node, NodeState::Joining);
 
-        let faults = self.cluster.faults();
+        let faults = self.sys.cluster().faults();
         let mut ranges_in = Vec::new();
         let mut keys_moved = 0;
         for donor in donors {
             let Some((lo, hi)) = self.resharder.map().donation_from(donor) else {
                 continue; // donor too small to split
             };
-            let idx = self.journal_append(node, lo, hi, donor);
+            let idx = journal.append(region, [lo, hi, donor as u64]);
             match self.resharder.migrate(lo, hi, node) {
                 Ok(report) => keys_moved += report.purged as u64,
                 Err(error) => return Err(MembershipError::SubjectDied { node, error }),
             }
-            self.journal_mark_done(node, idx);
+            journal.mark_done(region, idx);
             ranges_in.push((lo, hi, donor));
             // Chaos hook: the joiner dies here with this donation landed
             // and the next one about to be left mid-copy.
@@ -461,7 +381,7 @@ impl MembershipCoordinator {
         // between the two leaves an idle journal and an armed fault
         // plan, which recovery treats as a plain (non-membership) death
         // of a machine that owns its donated ranges.
-        self.journal_clear(node);
+        journal.clear(region);
         let epoch = self.table.set(node, NodeState::Active);
         Ok(JoinReport { node, ranges_in, keys_moved, epoch })
     }
@@ -488,20 +408,21 @@ impl MembershipCoordinator {
         if ranges.len() > MAX_JOURNAL_RANGES {
             return Err(MembershipError::JournalFull);
         }
-        self.journal_arm(node, OP_LEAVE);
+        let (journal, region) = self.journal(node);
+        journal.arm(region, OP_LEAVE, [node as u64]);
         self.table.set(node, NodeState::Draining);
 
-        let faults = self.cluster.faults();
+        let faults = self.sys.cluster().faults();
         let mut ranges_out = Vec::new();
         let mut keys_moved = 0;
         for (i, (lo, hi)) in ranges.into_iter().enumerate() {
             let receiver = receivers[i % receivers.len()];
-            let idx = self.journal_append(node, lo, hi, receiver);
+            let idx = journal.append(region, [lo, hi, receiver as u64]);
             match self.resharder.migrate(lo, hi, receiver) {
                 Ok(report) => keys_moved += report.purged as u64,
                 Err(error) => return Err(MembershipError::SubjectDied { node, error }),
             }
-            self.journal_mark_done(node, idx);
+            journal.mark_done(region, idx);
             ranges_out.push((lo, hi, receiver));
             // Chaos hook: the leaver dies here with this range handed
             // off and the next one about to be left mid-copy.
@@ -515,90 +436,59 @@ impl MembershipCoordinator {
         }
         // Quiesce: sweep the subject's log slots so no lock or redo
         // obligation survives retirement. On a clean leave this finds
-        // nothing; anything it reports was leaked by a worker.
-        let quiesce = recover_node(&self.cluster, node, &self.sys.layout(node), via);
-        self.journal_clear(node);
+        // nothing; anything it reports was leaked by a worker. The WAL
+        // sweep only: the full entry would wait on the op lock held here.
+        let quiesce = sweep_logs(self.sys.cluster(), node, &self.sys.layout(node), via)
+            .map_err(|error| MembershipError::SubjectDied { node, error })?;
+        journal.clear(region);
         let epoch = self.retire_everywhere(node);
         Ok(LeaveReport { node, ranges_out, keys_moved, quiesce, epoch })
     }
 
     // ---- failure-driven recovery ----
 
-    /// Repairs the cluster after `crashed` died, driving from `via`
-    /// (compose this into the failure detector's callback). Dispatches
-    /// on the corpse's membership journal: an armed join rolls back to
-    /// the pre-join geometry, an armed leave rolls the drain forward;
-    /// an idle journal returns `None` — the death was not a membership
-    /// operation, run the plain [`recover_node`] instead.
+    /// The elastic step of [`DrTm::recover`] for the dead `crashed`,
+    /// driven from `via` after the WAL sweep. Rolls back every migration
+    /// towards the corpse, then dispatches on its membership journal: an
+    /// armed join rolls back to the pre-join geometry, an armed leave
+    /// rolls the drain forward, an idle journal (a plain death) stops.
     ///
-    /// Deterministic and idempotent: driven only by NVRAM journal state
-    /// and the (deterministic) membership table, so replaying the same
-    /// seeded crash yields an identical [`MembershipRecovery`].
-    pub fn recover(&self, crashed: NodeId, via: NodeId) -> Option<MembershipRecovery> {
+    /// Deterministic and idempotent: driven only by NVRAM journal state,
+    /// the range map and the (deterministic) membership table, so
+    /// replaying the same seeded crash yields an identical report.
+    pub(crate) fn recover(
+        &self,
+        crashed: NodeId,
+        via: NodeId,
+        report: &mut RecoveryReport,
+    ) -> Result<(), FabricError> {
         let _g = self.op.lock().expect("membership op lock poisoned");
-        let (op, records) = self.journal_read(crashed);
-        if op == OP_IDLE {
-            return None;
+        // Drop partial copies and release the migration lock of every
+        // range the corpse was pulling (a join's in-flight donation).
+        for (lo, hi) in self.resharder.map().ranges_migrating_to(crashed) {
+            self.roll_back(lo, hi, crashed, via, report)?;
         }
-        let layout = self.sys.layout(crashed);
-        // WAL sweep first: transactions that died with the subject may
-        // hold locks inside rows about to be evacuated.
-        let wal = recover_node(&self.cluster, crashed, &layout, via);
-        let mut released_locks = 0;
-        let mut dropped_rows = 0;
-        let mut evacuated_keys = 0;
-        let mut ranges = Vec::new();
-        match op {
+        let (journal, region) = self.journal(crashed);
+        let Some(entry) = journal.read(region) else { return Ok(()) };
+        let direction = match entry.tag {
             OP_JOIN => {
-                // Roll back. In-flight donation first: drop the partial
-                // copy and release the migration lock...
-                for &(lo, hi, _donor, done) in &records {
-                    if !done {
-                        let (rel, drop) = self.resharder.recover(lo, hi, crashed);
-                        released_locks += rel;
-                        dropped_rows += drop;
-                    }
-                }
-                // ...then walk completed donations back to their donors:
-                // rows off the corpse's NVRAM, routing flipped last.
-                for &(lo, hi, donor, done) in &records {
+                // Roll back: walk completed donations back to their
+                // donors — rows off the corpse's NVRAM, routing last.
+                for &([lo, hi, donor], done) in &entry.records {
                     if done {
-                        evacuated_keys += self.resharder.evacuate_nt(lo, hi, crashed, donor);
-                        self.resharder
-                            .map()
-                            .reassign(lo, hi, donor)
-                            .expect("journaled donation range vanished from the map");
-                        ranges.push((lo, hi, donor));
+                        self.evacuate(lo, hi, crashed, donor as NodeId, report);
                     }
                 }
-                self.journal_clear(crashed);
-                let epoch = self.retire_everywhere(crashed);
-                Some(MembershipRecovery {
-                    node: crashed,
-                    direction: RecoveryDirection::RolledBack,
-                    wal,
-                    released_locks,
-                    dropped_rows,
-                    evacuated_keys,
-                    ranges,
-                    epoch,
-                })
+                RecoveryDirection::RolledBack
             }
             OP_LEAVE => {
                 // Roll forward. Completed hand-offs already published;
                 // the in-flight one restarts as an evacuation to its
                 // journaled receiver.
-                for &(lo, hi, receiver, done) in &records {
+                for &([lo, hi, receiver], done) in &entry.records {
                     if !done {
-                        let (rel, drop) = self.resharder.recover(lo, hi, receiver);
-                        released_locks += rel;
-                        dropped_rows += drop;
-                        evacuated_keys += self.resharder.evacuate_nt(lo, hi, crashed, receiver);
-                        self.resharder
-                            .map()
-                            .reassign(lo, hi, receiver)
-                            .expect("journaled drain range vanished from the map");
-                        ranges.push((lo, hi, receiver));
+                        self.roll_back(lo, hi, receiver as NodeId, via, report)?;
+                        self.evacuate(lo, hi, crashed, receiver as NodeId, report);
                     }
                 }
                 // Ranges the journal never reached drain round-robin to
@@ -607,29 +497,37 @@ impl MembershipCoordinator {
                     self.table.active_nodes().into_iter().filter(|&n| n != crashed).collect();
                 let remaining = self.resharder.map().ranges_owned_by(crashed);
                 for (i, (lo, hi)) in remaining.into_iter().enumerate() {
-                    let receiver = receivers[i % receivers.len()];
-                    evacuated_keys += self.resharder.evacuate_nt(lo, hi, crashed, receiver);
-                    self.resharder
-                        .map()
-                        .reassign(lo, hi, receiver)
-                        .expect("stable range vanished from the map");
-                    ranges.push((lo, hi, receiver));
+                    self.evacuate(lo, hi, crashed, receivers[i % receivers.len()], report);
                 }
-                self.journal_clear(crashed);
-                let epoch = self.retire_everywhere(crashed);
-                Some(MembershipRecovery {
-                    node: crashed,
-                    direction: RecoveryDirection::RolledForward,
-                    wal,
-                    released_locks,
-                    dropped_rows,
-                    evacuated_keys,
-                    ranges,
-                    epoch,
-                })
+                RecoveryDirection::RolledForward
             }
             other => panic!("corrupt membership journal op {other} on node {crashed}"),
-        }
+        };
+        journal.clear(region);
+        report.membership = Some((direction, self.retire_everywhere(crashed)));
+        Ok(())
+    }
+
+    /// Rolls back the migration of `[lo, hi]` towards `dst`.
+    fn roll_back(
+        &self,
+        lo: u64,
+        hi: u64,
+        dst: NodeId,
+        via: NodeId,
+        report: &mut RecoveryReport,
+    ) -> Result<(), FabricError> {
+        let (released, dropped) = self.resharder.recover(lo, hi, dst, via)?;
+        report.released_locks += released;
+        report.dropped_rows += dropped;
+        Ok(())
+    }
+
+    /// Moves `[lo, hi]` off the corpse `from` to `to`, then flips routing.
+    fn evacuate(&self, lo: u64, hi: u64, from: NodeId, to: NodeId, report: &mut RecoveryReport) {
+        report.evacuated_keys += self.resharder.evacuate_nt(lo, hi, from, to);
+        self.resharder.map().reassign(lo, hi, to).expect("journaled range vanished from the map");
+        report.ranges.push((lo, hi, to));
     }
 }
 
@@ -667,7 +565,10 @@ mod tests {
 
     #[test]
     fn journal_constants_are_consistent() {
-        assert_eq!(MEMBERSHIP_JOURNAL_BYTES, HEADER_BYTES + MAX_JOURNAL_RANGES * RECORD_BYTES);
+        assert_eq!(
+            MEMBERSHIP_JOURNAL_BYTES,
+            drtm_memstore::JOURNAL_HEADER_BYTES + MAX_JOURNAL_RANGES * 32
+        );
         assert_eq!(MEMBERSHIP_JOURNAL_BYTES % 64, 0, "journal is cache-line granular");
     }
 }

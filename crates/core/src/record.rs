@@ -259,7 +259,7 @@ pub fn try_remote_write_back(
 /// Releases an exclusive lock without writing data (the ABORT path).
 ///
 /// Releasing a lock *on* a crashed machine fails, which is fine — the
-/// whole machine's lock table dies with it and `recover_node` sweeps
+/// whole machine's lock table dies with it and `DrTm::recover` sweeps
 /// whatever our logs say we held there. A `local` release is a plain
 /// coherent store and cannot fail.
 pub fn try_remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {

@@ -22,14 +22,24 @@
 //! Updates are applied at-most-once by comparing the logged version with
 //! the record's current version — the ordering role §4.6 assigns to the
 //! per-record version.
+//!
+//! [`DrTm::recover`] is the one recovery entry. After the log sweep it
+//! releases a purge lock the corpse's migration journal still records
+//! and, on an elastic cluster, rolls back migrations towards the corpse
+//! and replays its membership journal
+//! ([`crate::MembershipCoordinator`]).
 
-use drtm_memstore::{JournaledLock, MigrationJournal};
-use drtm_rdma::{Cluster, NodeId};
+use std::sync::Arc;
+
+use drtm_memstore::release_migration_lock;
+use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId};
 
 use crate::alloc_layout::NodeLayout;
 use crate::log::{self, LogSlot, LOG_LOCK_AHEAD, LOG_WRITE_AHEAD};
+use crate::membership::RecoveryDirection;
 use crate::record::{self, RecordAddr};
 use crate::state::{LockState, INIT};
+use crate::txn::DrTm;
 
 /// Summary of one recovery pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -43,14 +53,55 @@ pub struct RecoveryReport {
     pub redone_updates: u64,
     /// Updates skipped because the version showed they already landed.
     pub skipped_updates: u64,
-    /// Exclusive locks released on behalf of the crashed machine.
+    /// Exclusive locks released on behalf of the crashed machine: locks
+    /// its logs name plus journaled migration purge locks.
     pub released_locks: u64,
     /// Uncommitted transactions rolled back (locks released only).
     pub rolled_back_txns: u64,
+    /// Partially copied rows dropped from migrations that died with the
+    /// crashed machine.
+    pub dropped_rows: u64,
+    /// Rows evacuated off the corpse's NVRAM by membership recovery.
+    pub evacuated_keys: u64,
+    /// Final placement `(lo, hi, owner)` of every range membership
+    /// recovery moved — donors for a rollback, receivers for a
+    /// roll-forward.
+    pub ranges: Vec<(u64, u64, NodeId)>,
+    /// For a death mid-join or mid-leave: the repair direction and the
+    /// membership epoch after the corpse retired. `None` for a plain
+    /// death.
+    pub membership: Option<(RecoveryDirection, u64)>,
 }
 
-/// Recovers the cluster after `crashed` failed, driving repairs from
-/// machine `via`. Returns what was done.
+impl DrTm {
+    /// Recovers the cluster after `crashed` failed, driving every repair
+    /// from survivor `via` on the calling thread. Returns what was done.
+    ///
+    /// One entry for every durable record the corpse left, found on the
+    /// corpse itself: its log slots (the WAL sweep), its migration
+    /// journal (an orphaned purge lock), and — when a membership
+    /// coordinator is registered — every migration towards it (rolled
+    /// back) and its membership journal (a join rolls back, a leave rolls
+    /// forward). Idempotent: a second pass reports nothing.
+    ///
+    /// Fails typed when a repair needs a verb against another dead
+    /// machine; re-running from the same survivor once that machine is
+    /// back finishes the job.
+    pub fn recover(&self, crashed: NodeId, via: NodeId) -> Result<RecoveryReport, FabricError> {
+        let layout = self.layout(crashed);
+        let mut report = sweep_logs(self.cluster(), crashed, &layout, via)?;
+        report.released_locks +=
+            release_migration_lock(self.cluster(), layout.migration_journal_off, crashed, via)?;
+        let coordinator = self.coordinator.read().expect("coordinator lock poisoned").upgrade();
+        if let Some(coordinator) = coordinator {
+            coordinator.recover(crashed, via, &mut report)?;
+        }
+        Ok(report)
+    }
+}
+
+/// The WAL sweep: repairs every log slot of `crashed` (laid out by
+/// `layout`), driving from machine `via`.
 ///
 /// Records and log slots on the crashed machine itself are accessed
 /// directly through its (durable, flush-on-failure) region — the paper's
@@ -63,50 +114,50 @@ pub struct RecoveryReport {
 /// exactly one survivor repairs (and reports) each slot. A claim held by
 /// the caller, or by a machine the fault plan marks crashed, is
 /// re-claimable; a claim held by a live peer is skipped.
-pub fn recover_node(
-    cluster: &std::sync::Arc<Cluster>,
+pub(crate) fn sweep_logs(
+    cluster: &Arc<Cluster>,
     crashed: NodeId,
     layout: &NodeLayout,
     via: NodeId,
-) -> RecoveryReport {
+) -> Result<RecoveryReport, FabricError> {
     let qp = cluster.qp(via);
     let region = cluster.node(crashed).region();
     let mut report = RecoveryReport::default();
 
-    let release_if_owned = |rec: &RecordAddr, report: &mut RecoveryReport| {
-        if rec.addr.node == crashed {
-            let st = LockState(region.read_u64_nt(rec.addr.offset));
-            if st.is_write_locked()
-                && st.owner() == crashed as u8
-                && region.cas_u64_nt(rec.addr.offset, st.0, INIT) == st.0
-            {
-                report.released_locks += 1;
-            }
+    // Words on the corpse itself come straight from its NVRAM, words on
+    // a live machine through one-sided verbs.
+    let read_u64 = |a: GlobalAddr| {
+        if a.node == crashed {
+            Ok(region.read_u64_nt(a.offset))
         } else {
-            let st =
-                LockState(qp.try_read_u64(rec.addr).expect("RDMA READ against a crashed node"));
-            // CAS so a concurrent release cannot be clobbered (and so
-            // racing recoverers count each release exactly once).
-            if st.is_write_locked()
-                && st.owner() == crashed as u8
-                && qp.try_cas_u64(rec.addr, st.0, INIT).expect("RDMA CAS against a crashed node")
-                    == st.0
-            {
-                report.released_locks += 1;
-            }
+            qp.try_read_u64(a)
         }
     };
-    let read_version = |rec: &RecordAddr| -> u32 {
-        let mut vb = [0u8; 4];
-        if rec.addr.node == crashed {
-            region.read_nt(rec.addr.offset + 12, &mut vb);
+    let cas_u64 = |a: GlobalAddr, old: u64| {
+        if a.node == crashed {
+            Ok(region.cas_u64_nt(a.offset, old, INIT))
         } else {
-            let mut tmp = vec![0u8; 4];
-            qp.try_read(drtm_rdma::GlobalAddr::new(rec.addr.node, rec.addr.offset + 12), &mut tmp)
-                .expect("RDMA READ against a crashed node");
-            vb.copy_from_slice(&tmp);
+            qp.try_cas_u64(a, old, INIT)
         }
-        u32::from_le_bytes(vb)
+    };
+    let release_if_owned = |rec: &RecordAddr, report: &mut RecoveryReport| {
+        let st = LockState(read_u64(rec.addr)?);
+        // CAS so a concurrent release cannot be clobbered (and so
+        // racing recoverers count each release exactly once).
+        if st.is_write_locked() && st.owner() == crashed as u8 && cas_u64(rec.addr, st.0)? == st.0 {
+            report.released_locks += 1;
+        }
+        Ok::<_, FabricError>(())
+    };
+    let read_version = |rec: &RecordAddr| -> Result<u32, FabricError> {
+        let mut vb = [0u8; 4];
+        let a = GlobalAddr::new(rec.addr.node, rec.addr.offset + 12);
+        if a.node == crashed {
+            region.read_nt(a.offset, &mut vb);
+        } else {
+            qp.try_read(a, &mut vb)?;
+        }
+        Ok(u32::from_le_bytes(vb))
     };
 
     for slot_layout in &layout.log_slots {
@@ -140,16 +191,15 @@ pub fn recover_node(
                 report.redone_txns += 1;
                 let wal = slot.read_write_ahead(region);
                 for u in &wal.updates {
-                    let cur = read_version(&u.rec);
+                    let cur = read_version(&u.rec)?;
                     // Versions increase monotonically; wrapping_sub keeps
                     // the comparison valid across u32 wrap.
                     if cur.wrapping_sub(u.version) as i32 >= 0 {
                         report.skipped_updates += 1;
-                        release_if_owned(&u.rec, &mut report);
+                        release_if_owned(&u.rec, &mut report)?;
                     } else {
                         let local = u.rec.addr.node == crashed;
-                        record::try_remote_write_back(&qp, &u.rec, u.version, &u.value, local)
-                            .expect("remote write-back against a crashed node");
+                        record::try_remote_write_back(&qp, &u.rec, u.version, &u.value, local)?;
                         report.redone_updates += 1;
                     }
                 }
@@ -158,14 +208,14 @@ pub fn recover_node(
                 // locks between the WAL and the apply loop) is released
                 // here, exactly once.
                 for rec in &wal.locks {
-                    release_if_owned(rec, &mut report);
+                    release_if_owned(rec, &mut report)?;
                 }
                 slot.log_done(region);
             }
             Some(LOG_LOCK_AHEAD) => {
                 report.rolled_back_txns += 1;
                 for rec in slot.read_lock_ahead(region) {
-                    release_if_owned(&rec, &mut report);
+                    release_if_owned(&rec, &mut report)?;
                 }
                 slot.log_done(region);
             }
@@ -175,24 +225,5 @@ pub fn recover_node(
         }
     }
 
-    // Migration-journal sweep: if the crashed machine was a resharding
-    // destination that died between arming its journal and shipping the
-    // purge delete, the recorded source-side migration lock is still
-    // held — release it (idempotently, by CAS on the exact logged word)
-    // and clear the journal.
-    let journal = MigrationJournal::at(layout.migration_journal_off);
-    if let Some(JournaledLock { src, off, word }) = journal.read_armed(region) {
-        let released = if src == crashed || cluster.faults().is_crashed(src) {
-            cluster.node(src).region().cas_u64_nt(off, word, INIT) == word
-        } else {
-            qp.try_cas_u64(drtm_rdma::GlobalAddr::new(src, off), word, INIT)
-                .expect("RDMA CAS against a crashed node")
-                == word
-        };
-        if released {
-            report.released_locks += 1;
-        }
-        journal.clear(region);
-    }
-    report
+    Ok(report)
 }

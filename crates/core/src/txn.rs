@@ -28,7 +28,7 @@
 //! so a crash anywhere in the pipeline either rolls back cleanly or
 //! redoes to the exact committed state.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, Weak};
 
 #[cfg(test)]
 use drtm_htm::HtmConfig;
@@ -39,6 +39,7 @@ use drtm_rdma::{AtomicityLevel, Cluster, FabricError, FaultPlan, NodeId, Qp};
 use crate::alloc_layout::NodeLayout;
 use crate::config::{CrashPoint, DrTmConfig, SofttimeStrategy};
 use crate::log::{LogSlot, LoggedUpdate};
+use crate::membership::MembershipCoordinator;
 use crate::record::{self, FetchedRecord, RecordAddr, ABORT_LEASE_EXPIRED, ABORT_LOCKED};
 use crate::stats::TxnStats;
 use crate::time::{softtime_nt, softtime_txn};
@@ -64,7 +65,7 @@ pub enum TxnError {
     /// A fabric operation hit the crashed machine: the transaction
     /// aborted cleanly (every releasable lock released, undeliverable
     /// releases parked for [`Worker::flush_pending`]) and can be
-    /// retried once the `FailureDetector` → `recover_node` cycle runs.
+    /// retried once the `FailureDetector` → [`DrTm::recover`] cycle runs.
     PeerDead(NodeId),
     /// A fabric operation routed to a machine that gracefully left the
     /// cluster: its QPs are closed for good. The caller re-resolves its
@@ -112,6 +113,9 @@ pub struct DrTm {
     /// One layout per provisioned machine; grows under the lock when the
     /// membership coordinator provisions a joining node.
     layouts: RwLock<Vec<NodeLayout>>,
+    /// The elastic step of [`DrTm::recover`], registered by the
+    /// coordinator itself; weak because the coordinator holds this.
+    pub(crate) coordinator: RwLock<Weak<MembershipCoordinator>>,
 }
 
 impl DrTm {
@@ -126,6 +130,7 @@ impl DrTm {
             htm_stats: Arc::new(HtmStats::new()),
             trace,
             layouts: RwLock::new(layouts),
+            coordinator: RwLock::new(Weak::new()),
         })
     }
 
@@ -1810,11 +1815,7 @@ mod tests {
         });
         assert_eq!(r, Err(TxnError::SimulatedCrash));
         assert!(h.state_of(1, 0).is_write_locked(), "lock stranded by crash");
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let report = h.sys.recover(0, 1).unwrap();
         assert_eq!(report.rolled_back_txns, 1);
         assert_eq!(report.released_locks, 1);
         assert_eq!(report.redone_updates, 0);
@@ -1839,17 +1840,13 @@ mod tests {
         });
         assert_eq!(r, Err(TxnError::SimulatedCrash));
         assert_eq!(h.value(1, 0), 100, "write-back never ran");
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let report = h.sys.recover(0, 1).unwrap();
         assert_eq!(report.redone_txns, 1);
         assert_eq!(report.redone_updates, 1);
         assert_eq!(h.value(1, 0), 109, "committed update redone");
         assert!(h.state_of(1, 0).is_init());
         // Recovery is idempotent.
-        let again = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let again = h.sys.recover(0, 1).unwrap();
         assert_eq!(again.redone_txns, 0);
         assert_eq!(h.value(1, 0), 109);
     }
@@ -1885,11 +1882,7 @@ mod tests {
         assert_eq!(h.value(1, 0), 100);
         assert!(h.state_of(0, 1).is_write_locked(), "local 2PL lock still held");
         assert!(h.state_of(1, 0).is_write_locked());
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let report = h.sys.recover(0, 1).unwrap();
         assert_eq!(report.redone_txns, 1);
         assert_eq!(report.redone_updates, 2);
         assert_eq!(report.released_locks, 0, "write-backs release as they apply");
@@ -1898,7 +1891,7 @@ mod tests {
         assert!(h.state_of(0, 1).is_init());
         assert!(h.state_of(1, 0).is_init());
         // Idempotent: a second pass finds a clean slot.
-        let again = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let again = h.sys.recover(0, 1).unwrap();
         assert_eq!(again, crate::recovery::RecoveryReport::default());
     }
 
@@ -1926,11 +1919,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(r, Err(TxnError::SimulatedCrash));
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let report = h.sys.recover(0, 1).unwrap();
         assert_eq!(report.rolled_back_txns, 1);
         assert_eq!(report.released_locks, 2, "local + remote lock released");
         assert_eq!(h.value(0, 1), 100, "rolled back: no value moved");

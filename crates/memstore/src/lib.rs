@@ -34,6 +34,7 @@ mod cluster_hash;
 mod cuckoo;
 mod entry;
 mod hopscotch;
+mod journal;
 pub mod reshard;
 pub mod rpc;
 mod slot;
@@ -48,9 +49,10 @@ pub use cluster_hash::{
 pub use cuckoo::{CuckooHash, CuckooHashDesc};
 pub use entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 pub use hopscotch::{HopscotchHash, HopscotchHashDesc, HopscotchVariant};
+pub use journal::{Journal, JournalEntry, JOURNAL_HEADER_BYTES};
 pub use reshard::{
-    JournaledLock, MigratePhase, MigrationJournal, MigrationReport, RangeMap, RangeMapError,
-    RangeState, ReshardStats, Resharder, RouteDecision,
+    migration_journal, release_migration_lock, MigratePhase, MigrationReport, RangeMap,
+    RangeMapError, RangeState, ReshardStats, Resharder, RouteDecision, PURGE_LOCKED,
 };
 pub use slot::{Slot, SlotType, SLOT_BYTES};
 pub use split_ordered::{

@@ -52,10 +52,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use drtm_htm::{Executor, Region};
+use drtm_htm::Executor;
 use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId, QueueId};
 
 use crate::cache::AddrCache;
+use crate::journal::Journal;
 use crate::rpc::{ship_store_op, StoreOp, StoreReply};
 use crate::split_ordered::ElasticHash;
 use crate::ENTRY_HEADER_BYTES;
@@ -69,61 +70,45 @@ pub const MIGRATE_MID_COPY_SITE: &str = "migrate-mid-copy";
 /// the range. Must match `CrashPoint::MigrateBeforeCutover`.
 pub const MIGRATE_BEFORE_CUTOVER_SITE: &str = "migrate-before-cutover";
 
-/// Bytes of the per-node migration journal (four u64 words).
-pub const MIGRATION_JOURNAL_BYTES: usize = 64;
+/// Tag of a migration journal armed with a purge lock.
+pub const PURGE_LOCKED: u64 = 1;
 
-/// The per-node migration journal: while a migration holds a purge lock
-/// on a source entry, the destination's journal records which lock it
-/// is, so recovery can release it if the destination dies. Layout: the
-/// armed word at +0, then the source node, entry offset and lock word
-/// at +8/+16/+24. The fields are written first and the armed word last,
-/// so recovery only ever sees a fully armed journal.
-///
-/// The journal is NVRAM on its own node: every access is a direct
-/// region access, never a fabric op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationJournal {
-    off: usize,
+/// Bytes of the per-node migration journal.
+pub const MIGRATION_JOURNAL_BYTES: usize = Journal::<3, 0>::bytes(0);
+
+/// The per-node migration journal at region offset `off` (from the
+/// shared node layout): while a migration holds a purge lock on a
+/// source entry, the destination's journal is armed ([`PURGE_LOCKED`])
+/// with fields `[src, entry offset, lock word]`, so recovery can release
+/// the lock if the destination dies.
+pub const fn migration_journal(off: usize) -> Journal<3, 0> {
+    Journal::at(off, 0)
 }
 
-/// The purge lock an armed [`MigrationJournal`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournaledLock {
-    /// Machine holding the locked entry.
-    pub src: NodeId,
-    /// Region offset of the entry's state word on `src`.
-    pub off: usize,
-    /// The lock word the migration installed there.
-    pub word: u64,
-}
-
-impl MigrationJournal {
-    /// The journal at region offset `off` (from the shared node layout).
-    pub fn at(off: usize) -> Self {
-        MigrationJournal { off }
-    }
-
-    /// Records `lock` and arms the journal (fields first, armed word last).
-    pub fn arm(&self, region: &Region, lock: JournaledLock) {
-        region.write_u64_nt(self.off + 8, lock.src as u64);
-        region.write_u64_nt(self.off + 16, lock.off as u64);
-        region.write_u64_nt(self.off + 24, lock.word);
-        region.write_u64_nt(self.off, 1);
-    }
-
-    /// Disarms the journal.
-    pub fn clear(&self, region: &Region) {
-        region.write_u64_nt(self.off, 0);
-    }
-
-    /// The recorded lock if the journal is armed.
-    pub fn read_armed(&self, region: &Region) -> Option<JournaledLock> {
-        (region.read_u64_nt(self.off) == 1).then(|| JournaledLock {
-            src: region.read_u64_nt(self.off + 8) as NodeId,
-            off: region.read_u64_nt(self.off + 16) as usize,
-            word: region.read_u64_nt(self.off + 24),
-        })
-    }
+/// Releases the purge lock `node`'s armed migration journal records
+/// (by CAS on the exact journaled word, so a repeat releases nothing)
+/// and disarms the journal. The journal is read straight from `node`'s
+/// region; the lock is released straight on the source's region when
+/// the source is `node` itself or dead (NVRAM model), and through
+/// `via`'s verbs when it is alive. Returns the locks released (0 or 1).
+pub fn release_migration_lock(
+    cluster: &Arc<Cluster>,
+    journal_off: usize,
+    node: NodeId,
+    via: NodeId,
+) -> Result<u64, FabricError> {
+    let journal = migration_journal(journal_off);
+    let region = cluster.node(node).region();
+    let Some(entry) = journal.read(region) else { return Ok(0) };
+    let [src, off, word] = entry.fields;
+    let (src, off) = (src as NodeId, off as usize);
+    let released = if src == node || cluster.faults().is_crashed(src) {
+        cluster.node(src).region().cas_u64_nt(off, word, 0) == word
+    } else {
+        cluster.qp(via).try_cas_u64(GlobalAddr::new(src, off), word, 0)? == word
+    };
+    journal.clear(region);
+    Ok(released as u64)
 }
 
 /// Phase boundaries of one migration, surfaced through
@@ -393,6 +378,11 @@ impl RangeMap {
             .collect()
     }
 
+    /// The ranges mid-migration towards `dst`, sorted by `lo`.
+    pub fn ranges_migrating_to(&self, dst: NodeId) -> Vec<(u64, u64)> {
+        self.ranges.read().iter().filter(|r| r.dst == Some(dst)).map(|r| (r.lo, r.hi)).collect()
+    }
+
     /// Force-reassigns the exact `Stable` entry `[lo, hi]` to
     /// `new_owner`, bumping its epoch. This is the journal-driven
     /// repair primitive: membership recovery moves rows physically
@@ -411,23 +401,6 @@ impl RangeMap {
         r.owner = new_owner;
         r.epoch += 1;
         Ok(r.epoch)
-    }
-
-    /// Multi-range reassignment: flips every `Stable` range owned by
-    /// `from` to `to` in one write-locked pass, bumping each epoch.
-    /// Returns the moved `(lo, hi)` pairs. Used by leave roll-forward
-    /// when a drain's remaining ranges all land on one survivor.
-    pub fn reassign_owned(&self, from: NodeId, to: NodeId) -> Vec<(u64, u64)> {
-        let mut ranges = self.ranges.write();
-        let mut moved = Vec::new();
-        for r in ranges.iter_mut() {
-            if r.owner == from && r.state == RangeState::Stable {
-                r.owner = to;
-                r.epoch += 1;
-                moved.push((r.lo, r.hi));
-            }
-        }
-        moved
     }
 
     /// Donor selection for a membership join: the upper half of the
@@ -531,8 +504,8 @@ pub struct Resharder {
     shards: RwLock<Vec<Arc<ElasticHash>>>,
     /// Index of the elastic table in every host's store-service registry.
     table_idx: u16,
-    /// The migration journal (same region offset on every node).
-    journal: MigrationJournal,
+    /// Region offset of the migration journal (same on every node).
+    journal_off: usize,
     /// State-word value that locks an entry for migration. The caller
     /// provides it (`LockState::write_locked(driver)` in core terms)
     /// so this crate stays free of the transaction layer.
@@ -580,7 +553,7 @@ impl Resharder {
             map,
             shards: RwLock::new(shards),
             table_idx,
-            journal: MigrationJournal::at(journal_off),
+            journal_off,
             lock_word,
             barrier_key,
             reply_q,
@@ -660,6 +633,7 @@ impl Resharder {
         let dst_region = self.cluster.node(dst).region();
         let dst_shard = self.shard(dst);
         let src_shard = self.shard(src);
+        let journal = migration_journal(self.journal_off);
 
         // Phase 1: bulk copy. Source stays writable; epoch bumps so
         // routing can tell "resolved before the migration" apart.
@@ -705,8 +679,7 @@ impl Resharder {
         for e in &delta {
             let state_addr = GlobalAddr::new(src, e.entry_off);
             // Journal first: recovery only trusts a fully armed journal.
-            self.journal
-                .arm(dst_region, JournaledLock { src, off: e.entry_off, word: self.lock_word });
+            journal.arm(dst_region, PURGE_LOCKED, [src as u64, e.entry_off as u64, self.lock_word]);
             // Lock the entry on the source: in-flight fallback writers
             // holding it commit on the old owner first; we wait them out.
             let mut backoff = drtm_htm::backoff::Backoff::new();
@@ -726,7 +699,7 @@ impl Resharder {
                 // an unrelated entry. Release our lock and move on.
                 let r = qp.try_cas_u64(state_addr, self.lock_word, 0)?;
                 debug_assert_eq!(r, self.lock_word, "migration lock stolen");
-                self.journal.clear(dst_region);
+                journal.clear(dst_region);
                 continue;
             }
             if on_dst.get(&h.key).copied() != Some(h.version) {
@@ -755,7 +728,7 @@ impl Resharder {
                 &StoreOp::Delete { table: self.table_idx, key: e.key },
             );
             debug_assert_eq!(r, StoreReply::Ok, "purged key vanished while locked");
-            self.journal.clear(dst_region);
+            journal.clear(dst_region);
             // Invalidate cached locations *after* the source entry is
             // gone: a lookup between invalidation and re-resolution must
             // find either nothing on src (dual-read forwards to dst) or
@@ -777,25 +750,23 @@ impl Resharder {
     }
 
     /// Rolls back a migration of `[lo, hi]` towards `dst` that died
-    /// mid-flight: releases the journaled source lock (if the journal is
-    /// armed and the lock is still held), deletes partially copied
-    /// destination rows, and returns the range to `Stable` on the
-    /// source. Idempotent; call after reviving `dst` (its HTM executes
-    /// the row deletions).
+    /// mid-flight, driven from survivor `via`: releases the journaled
+    /// source lock ([`release_migration_lock`] on `dst`'s journal),
+    /// deletes partially copied rows straight from `dst`'s region — dead
+    /// or alive, under the NVRAM model — and returns the range to
+    /// `Stable` on the source. Idempotent. `DrTm::recover` runs it for
+    /// every range migrating to a dead machine.
     ///
     /// Returns `(released_locks, dropped_rows)`.
-    pub fn recover(&self, lo: u64, hi: u64, dst: NodeId) -> (u64, u64) {
+    pub fn recover(
+        &self,
+        lo: u64,
+        hi: u64,
+        dst: NodeId,
+        via: NodeId,
+    ) -> Result<(u64, u64), FabricError> {
+        let released = release_migration_lock(&self.cluster, self.journal_off, dst, via)?;
         let dst_region = self.cluster.node(dst).region();
-        let mut released = 0;
-        // The journal lives on the crashed destination; NVRAM model —
-        // read it directly, not through the fabric.
-        if let Some(lock) = self.journal.read_armed(dst_region) {
-            let src_region = self.cluster.node(lock.src).region();
-            if src_region.cas_u64_nt(lock.off, lock.word, 0) == lock.word {
-                released = 1;
-            }
-            self.journal.clear(dst_region);
-        }
         let dst_shard = self.shard(dst);
         let rows = dst_shard.collect_range_nt(dst_region, lo, hi);
         let dropped = rows.len() as u64;
@@ -803,7 +774,7 @@ impl Resharder {
             dst_shard.delete(&self.exec, dst_region, row.key);
         }
         self.map.abort_migration(lo, hi);
-        (released, dropped)
+        Ok((released, dropped))
     }
 
     /// Survivor-driven evacuation of `[lo, hi]` from a *dead or
@@ -826,7 +797,7 @@ impl Resharder {
         let moved = rows.len() as u64;
         for row in rows {
             // A row can carry a lock word leaked by a transaction that
-            // died with its owner; the WAL sweep (`recover_node`) must
+            // died with its owner; the WAL sweep of `DrTm::recover` must
             // run before evacuation, so by now every state word is 0.
             to_shard
                 .upsert(&self.exec, to_region, row.key, &row.value, row.version)
@@ -1005,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_range_reassignment_and_donor_selection() {
+    fn multi_range_ownership_and_donor_selection() {
         let map =
             RangeMap::try_new([(0, 99, 0), (100, 149, 1), (150, 199, 0), (200, 200, 2)]).unwrap();
         assert_eq!(map.ranges_owned_by(0), vec![(0, 99), (150, 199)]);
@@ -1013,13 +984,10 @@ mod tests {
         assert_eq!(map.donation_from(0), Some((50, 99)));
         // A one-key owner has nothing splittable to donate.
         assert_eq!(map.donation_from(2), None);
-        // Drain node 0 entirely onto node 3.
-        let moved = map.reassign_owned(0, 3);
-        assert_eq!(moved, vec![(0, 99), (150, 199)]);
-        assert_eq!(map.owner_of(10), Some(3));
-        assert_eq!(map.owner_of(160), Some(3));
-        assert_eq!(map.owner_of(120), Some(1), "other owners untouched");
-        assert!(map.ranges_owned_by(0).is_empty());
+        // Migrations in flight are listed by destination.
+        map.try_begin_copy(150, 199, 3).unwrap();
+        assert_eq!(map.ranges_migrating_to(3), vec![(150, 199)]);
+        assert!(map.ranges_migrating_to(0).is_empty());
     }
 
     #[test]
@@ -1168,8 +1136,8 @@ mod tests {
         let err = rig.resharder.migrate(0, 39, 1).unwrap_err();
         assert_eq!(err, FabricError::PeerDead { node: 1 });
         assert!(rig.cluster.faults().is_crashed(1));
+        let (released, _dropped) = rig.resharder.recover(0, 39, 1, 0).unwrap();
         rig.cluster.faults().revive(1);
-        let (released, _dropped) = rig.resharder.recover(0, 39, 1);
         assert_eq!(released, 0, "no lock taken before cutover");
         // All keys back on (never left) the source, none on dst, Stable.
         assert_eq!(rig.shards[0].len(), 40);
@@ -1187,8 +1155,8 @@ mod tests {
         fill(&rig, 0, 0..30);
         rig.cluster.faults().arm_crash(1, MIGRATE_BEFORE_CUTOVER_SITE);
         assert!(rig.resharder.migrate(0, 29, 1).is_err());
+        let (_released, dropped) = rig.resharder.recover(0, 29, 1, 0).unwrap();
         rig.cluster.faults().revive(1);
-        let (_released, dropped) = rig.resharder.recover(0, 29, 1);
         assert_eq!(dropped, 30, "full bulk copy rolled back");
         assert_eq!(rig.shards[0].len(), 30);
         assert_eq!(rig.shards[1].len(), 0);
@@ -1206,12 +1174,11 @@ mod tests {
         let off = rows[0].entry_off;
         assert_eq!(region0.cas_u64_nt(off, 0, LOCK_WORD), 0);
         let region1 = rig.cluster.node(1).region();
-        MigrationJournal::at(JOURNAL_OFF)
-            .arm(region1, JournaledLock { src: 0, off, word: LOCK_WORD });
-        let (released, _) = rig.resharder.recover(0, 49, 1);
+        migration_journal(JOURNAL_OFF).arm(region1, PURGE_LOCKED, [0, off as u64, LOCK_WORD]);
+        let (released, _) = rig.resharder.recover(0, 49, 1, 0).unwrap();
         assert_eq!(released, 1);
         assert_eq!(region0.read_u64_nt(off), 0, "lock released");
         // Second recovery finds a clean journal.
-        assert_eq!(rig.resharder.recover(0, 49, 1).0, 0);
+        assert_eq!(rig.resharder.recover(0, 49, 1, 0).unwrap().0, 0);
     }
 }

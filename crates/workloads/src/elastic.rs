@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use drtm_core::{
     AbortCause, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState, MembershipCoordinator,
-    MembershipError, MembershipRecovery, MembershipTable, NodeLayout, NodeState, RecordAddr,
-    SoftTimer, TxnError, TxnSpec, Worker,
+    MembershipError, MembershipTable, NodeLayout, NodeState, RecordAddr, SoftTimer, TxnError,
+    TxnSpec, Worker,
 };
 use drtm_htm::{Executor, HtmStats};
 use drtm_memstore::rpc::{spawn_store_service, StoreServiceGuard};
@@ -243,13 +243,9 @@ impl ElasticKv {
                 layout
             }
         };
-        let coordinator = Arc::new(MembershipCoordinator::new(
-            cluster,
-            sys.clone(),
-            resharder.clone(),
-            membership,
-            provision,
-        ));
+        // Registers itself with `sys` as the elastic recovery step.
+        let coordinator =
+            MembershipCoordinator::new(sys.clone(), resharder.clone(), membership, provision);
         ElasticKv { sys, shared, resharder, coordinator, cfg, _services: services, _timer: timer }
     }
 
@@ -301,13 +297,6 @@ impl ElasticKv {
     /// from `via`).
     pub fn leave_node(&self, node: NodeId, via: NodeId) -> Result<LeaveReport, MembershipError> {
         self.coordinator.leave(node, via)
-    }
-
-    /// Driver hook: repairs a membership operation whose subject died
-    /// (compose into the failure detector's callback). Returns `None`
-    /// when the death was not a membership operation.
-    pub fn recover_membership(&self, crashed: NodeId, via: NodeId) -> Option<MembershipRecovery> {
-        self.coordinator.recover(crashed, via)
     }
 
     /// Driver hook: doubles `node`'s bucket array once (readers never

@@ -16,11 +16,11 @@ use drtm::htm::{Executor, HtmStats};
 use drtm::memstore::{Arena, ClusterHash};
 use drtm::rdma::{Cluster, ClusterConfig};
 use drtm::txn::{
-    recover_node, CrashPoint, DrTm, DrTmConfig, LockState, NodeLayout, SoftTimer, TxnError, TxnSpec,
+    CrashPoint, DrTm, DrTmConfig, LockState, NodeLayout, SoftTimer, TxnError, TxnSpec,
 };
 use drtm::workloads::resolve::Table;
 
-fn build(crash: Option<CrashPoint>) -> (Arc<DrTm>, Table, NodeLayout) {
+fn build(crash: Option<CrashPoint>) -> (Arc<DrTm>, Table) {
     let mut cfg = DrTmConfig { logging: true, crash_point: crash, ..Default::default() };
     cfg.htm = Default::default();
     let cluster =
@@ -37,8 +37,7 @@ fn build(crash: Option<CrashPoint>) -> (Arc<DrTm>, Table, NodeLayout) {
     }
     let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
     std::mem::forget(timer); // keep ticking for the example's lifetime
-    let layout = layouts[0].clone();
-    (DrTm::new(cluster, cfg, layouts), Table::new(shards), layout)
+    (DrTm::new(cluster, cfg, layouts), Table::new(shards))
 }
 
 fn balance(sys: &Arc<DrTm>, table: &Table, node: u16) -> u64 {
@@ -51,7 +50,7 @@ fn balance(sys: &Arc<DrTm>, table: &Table, node: u16) -> u64 {
 
 fn run_scenario(crash: CrashPoint) {
     println!("--- scenario: {crash:?} ---");
-    let (sys, table, layout) = build(Some(crash));
+    let (sys, table) = build(Some(crash));
     let mut w = sys.worker(0, 0);
     let rec = table.try_resolve(&w, 1, 0).expect("resolve against a crashed node").unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
@@ -69,7 +68,7 @@ fn run_scenario(crash: CrashPoint) {
     );
 
     // A survivor (machine 1) recovers machine 0 from its NVRAM logs.
-    let report = recover_node(sys.cluster(), 0, &layout, 1);
+    let report = sys.recover(0, 1).expect("recovery from a live survivor");
     println!("recovery report: {report:?}");
     let st = LockState(sys.cluster().node(1).region().read_u64_nt(rec.addr.offset));
     let b = balance(&sys, &table, 1);
@@ -80,7 +79,7 @@ fn run_scenario(crash: CrashPoint) {
         _ => assert_eq!(b, 111, "committed update must be redone"),
     }
     // Idempotence: running recovery again changes nothing.
-    let again = recover_node(sys.cluster(), 0, &layout, 1);
+    let again = sys.recover(0, 1).expect("recovery from a live survivor");
     assert_eq!(again.redone_updates, 0);
     println!("recovery is idempotent\n");
 }

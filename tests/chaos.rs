@@ -15,14 +15,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash};
+use drtm::memstore::{migration_journal, Arena, ClusterHash, PURGE_LOCKED};
 use drtm::rdma::{
     Cluster, ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile,
 };
 use drtm::txn::{
-    recover_node, CrashPoint, DrTm, DrTmConfig, FailureDetector, LockState, MembershipError,
-    MembershipRecovery, NodeLayout, NodeState, RecoveryDirection, RecoveryReport, SoftTimer,
-    TxnError, TxnSpec,
+    CrashPoint, DrTm, DrTmConfig, FailureDetector, LockState, MembershipError, NodeLayout,
+    NodeState, RecoveryDirection, RecoveryReport, SoftTimer, TxnError, TxnSpec,
 };
 use drtm::workloads::elastic::{ElasticKv, ElasticKvConfig, INIT_VALUE};
 use drtm::workloads::resolve::Table;
@@ -45,7 +44,6 @@ fn scaled(base: usize, min: usize) -> usize {
 struct Fixture {
     sys: Arc<DrTm>,
     accounts: Arc<Table>,
-    layout: NodeLayout,
     /// `recs[node][key]`, resolved while everything was still alive, so
     /// invariant checks never need the (possibly dead) fabric.
     recs: Vec<Vec<drtm::txn::RecordAddr>>,
@@ -91,14 +89,13 @@ fn fixture_with_doorbell(
         shards.push(Arc::new(t));
     }
     let timer = SoftTimer::start(cluster.clone(), Duration::from_micros(200));
-    let layout = layouts[0].clone();
     let sys = DrTm::new(cluster, cfg, layouts);
     let accounts = Arc::new(Table::new(shards));
     let w = sys.worker(0, 0);
     let recs = (0..3u16)
         .map(|n| (0..8u64).map(|k| accounts.try_resolve(&w, n, k).unwrap().unwrap()).collect())
         .collect();
-    Fixture { sys, accounts, layout, recs, _timer: timer }
+    Fixture { sys, accounts, recs, _timer: timer }
 }
 
 /// Reads `key`'s value on `node` directly from the (durable) region —
@@ -162,11 +159,12 @@ fn expected_report(p: CrashPoint) -> RecoveryReport {
             r.redone_txns = 1;
             r.skipped_updates = 2;
         }
-        // Migration points never reach the per-transaction log slots:
-        // both crash sites fire before any purge lock is journaled, so
-        // the log sweep finds nothing (the migration matrix below
-        // checks range-level rollback separately).
-        CrashPoint::MigrateMidCopy | CrashPoint::MigrateBeforeCutover => {}
+        // Migration points never reach the per-transaction log slots,
+        // and both crash sites fire before any purge lock is journaled:
+        // recovery only drops the rows the destination had copied —
+        // none mid-copy, the whole 50-key range before cutover.
+        CrashPoint::MigrateMidCopy => {}
+        CrashPoint::MigrateBeforeCutover => r.dropped_rows = 50,
         // Membership points fire inside the coordinator's join/leave
         // protocols, not inside a transaction, so the log sweep likewise
         // finds nothing (the membership matrix below checks the
@@ -200,7 +198,14 @@ fn crash_and_recover_with_doorbell(
     // handler: give the HTM path zero retries so every transaction
     // degrades to 2PL.
     let retries = if is_fallback_point(p) { Some(0) } else { None };
-    let f = fixture_with_doorbell(FaultConfig::default(), retries, doorbell);
+    let f = crash_canonical(fixture_with_doorbell(FaultConfig::default(), retries, doorbell), p);
+    let report = f.sys.recover(0, 1).unwrap();
+    (f, report)
+}
+
+/// Runs the canonical transaction from machine 0 with a fault-plan
+/// crash armed at `p` and returns the fixture with machine 0 dead.
+fn crash_canonical(f: Fixture, p: CrashPoint) -> Fixture {
     let mut w = f.sys.worker(0, 0);
     let r1 = f.accounts.try_resolve(&w, 1, 3).unwrap().unwrap();
     let r2 = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
@@ -215,8 +220,7 @@ fn crash_and_recover_with_doorbell(
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash), "armed crash at {p:?} must fire");
     assert!(f.sys.cluster().faults().is_crashed(0), "the crash marks machine 0 dead");
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
-    (f, report)
+    f
 }
 
 // ---------------------------------------------------------------------
@@ -241,7 +245,7 @@ fn crash_matrix_every_point_recovers_to_the_exact_report() {
         assert_eq!(value(&f2, 1, 3), value(&f, 1, 3));
 
         // A second recovery pass finds nothing left to do.
-        let again = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+        let again = f.sys.recover(0, 2).unwrap();
         assert_eq!(again, RecoveryReport::default(), "{p:?}: recovery not idempotent");
 
         // The revived machine rejoins and can transact immediately.
@@ -316,7 +320,7 @@ fn fallback_crash_and_recover(p: CrashPoint) -> (Fixture, RecoveryReport) {
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash), "armed crash at {p:?} must fire");
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = f.sys.recover(0, 1).unwrap();
     (f, report)
 }
 
@@ -348,7 +352,7 @@ fn fallback_pipeline_crash_points_recover_local_and_remote_updates() {
         assert_eq!(value(&f2, 0, 1), value(&f, 0, 1));
 
         // A second recovery pass finds nothing left to do.
-        let again = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+        let again = f.sys.recover(0, 2).unwrap();
         assert_eq!(again, RecoveryReport::default(), "{p:?}: recovery not idempotent");
 
         // The revived machine transacts immediately — including on the
@@ -455,7 +459,7 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
     assert!(t0.elapsed() < Duration::from_secs(30), "waiter must not spin unbounded");
     // Recovery then repairs the half-committed transaction and the
     // waiter's retry succeeds.
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+    let report = f.sys.recover(0, 2).unwrap();
     assert_eq!(report.redone_txns, 1);
     let r: Result<(), _> = w2.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
@@ -471,6 +475,21 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
 // Racing survivors: recovery is claim-based and exactly-once.
 // ---------------------------------------------------------------------
 
+/// Recovers machine 0 from survivors 1 and 2 at once.
+fn race_recoverers(f: &Fixture) -> Vec<RecoveryReport> {
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        let handles = [1u16, 2].map(|via| {
+            let barrier = &barrier;
+            s.spawn(move || {
+                barrier.wait();
+                f.sys.recover(0, via).unwrap()
+            })
+        });
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
 #[test]
 fn racing_survivors_release_each_lock_exactly_once() {
     // AfterRemoteLocks: two exclusive locks held by the corpse, nothing
@@ -478,24 +497,7 @@ fn racing_survivors_release_each_lock_exactly_once() {
     // make exactly one of them repair (and count) the slot.
     for round in 0..scaled(8, 2) {
         let f = crash_and_recover_raw(CrashPoint::AfterRemoteLocks, round as u64 + 1);
-        let cluster = f.sys.cluster().clone();
-        let layout = f.layout.clone();
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let reports: Vec<RecoveryReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = [1u16, 2]
-                .into_iter()
-                .map(|via| {
-                    let cluster = cluster.clone();
-                    let layout = layout.clone();
-                    let barrier = barrier.clone();
-                    s.spawn(move || {
-                        barrier.wait();
-                        recover_node(&cluster, 0, &layout, via)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let reports = race_recoverers(&f);
         let rolled: u64 = reports.iter().map(|r| r.rolled_back_txns).sum();
         let released: u64 = reports.iter().map(|r| r.released_locks).sum();
         assert_eq!(rolled, 1, "round {round}: slot repaired exactly once: {reports:?}");
@@ -514,24 +516,7 @@ fn racing_survivors_conserve_redo_accounting() {
     // recoverers, redone + skipped must equal the logged update count
     // and the transaction must be counted once.
     let f = crash_and_recover_raw(CrashPoint::AfterHtmCommit, 99);
-    let cluster = f.sys.cluster().clone();
-    let layout = f.layout.clone();
-    let barrier = Arc::new(std::sync::Barrier::new(2));
-    let reports: Vec<RecoveryReport> = std::thread::scope(|s| {
-        let handles: Vec<_> = [1u16, 2]
-            .into_iter()
-            .map(|via| {
-                let cluster = cluster.clone();
-                let layout = layout.clone();
-                let barrier = barrier.clone();
-                s.spawn(move || {
-                    barrier.wait();
-                    recover_node(&cluster, 0, &layout, via)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let reports = race_recoverers(&f);
     let redone_txns: u64 = reports.iter().map(|r| r.redone_txns).sum();
     let updates: u64 = reports.iter().map(|r| r.redone_updates + r.skipped_updates).sum();
     assert_eq!(redone_txns, 1, "{reports:?}");
@@ -543,24 +528,32 @@ fn racing_survivors_conserve_redo_accounting() {
     assert_no_leaked_locks(&f);
 }
 
+#[test]
+fn recovery_fails_typed_on_a_second_dead_peer_then_finishes() {
+    // AfterRemoteLocks: the corpse's lock-ahead log names locks on
+    // machines 1 and 2. With machine 2 dead too, the sweep cannot
+    // release its lock: recovery fails typed instead of panicking.
+    let f = crash_and_recover_raw(CrashPoint::AfterRemoteLocks, 7);
+    f.sys.cluster().faults().kill(2);
+    assert_eq!(f.sys.recover(0, 1), Err(FabricError::PeerDead { node: 2 }));
+    // Once machine 2 is back, the same survivor re-claims its own claim
+    // on the slot and finishes: machine 1's lock went in the first pass.
+    f.sys.cluster().faults().revive(2);
+    let report = f.sys.recover(0, 1).unwrap();
+    assert_eq!(
+        report,
+        RecoveryReport { rolled_back_txns: 1, released_locks: 1, ..Default::default() }
+    );
+    for (n, k) in [(1u16, 3u64), (2, 5)] {
+        assert_eq!(value(&f, n, k), 100, "rollback kept the original value on node {n}");
+    }
+    assert_no_leaked_locks(&f);
+}
+
 /// Like [`crash_and_recover`] but stops before recovery (the caller
 /// races its own recoverers); `seed` feeds the fault plan.
 fn crash_and_recover_raw(p: CrashPoint, seed: u64) -> Fixture {
-    let f = fixture(FaultConfig { seed, ..Default::default() }, None);
-    let mut w = f.sys.worker(0, 0);
-    let r1 = f.accounts.try_resolve(&w, 1, 3).unwrap().unwrap();
-    let r2 = f.accounts.try_resolve(&w, 2, 5).unwrap().unwrap();
-    f.sys.cluster().faults().arm_crash(0, p.name());
-    let spec = TxnSpec { remote_writes: vec![r1, r2], ..Default::default() };
-    let r: Result<(), _> = w.execute(&spec, |ctx| {
-        for i in 0..2 {
-            let v = u64::from_le_bytes(ctx.remote_write_cur(i)[..8].try_into().unwrap());
-            ctx.remote_write(i, (v + 7).to_le_bytes().to_vec());
-        }
-        Ok(())
-    });
-    assert_eq!(r, Err(TxnError::SimulatedCrash));
-    f
+    crash_canonical(fixture(FaultConfig { seed, ..Default::default() }, None), p)
 }
 
 // ---------------------------------------------------------------------
@@ -687,7 +680,7 @@ fn assert_no_migration_locks(kv: &ElasticKv) {
 }
 
 /// Runs one migration with the destination armed to die at `p`,
-/// recovers (generic log sweep + range-level rollback), verifies
+/// recovers the corpse (log sweep + range-level rollback), verifies
 /// conservation and zero leaked locks, then re-runs the migration to
 /// completion. Returns the recovery report and the re-run's report.
 fn migration_crash_run(
@@ -721,12 +714,10 @@ fn migration_crash_run(
     assert_eq!(err, FabricError::PeerDead { node: 1 }, "{p:?}: armed crash must fire");
     assert!(kv.sys.cluster().faults().is_crashed(1));
 
-    // Survivor-driven recovery: the generic per-slot sweep (machine 0
-    // reads the corpse's durable region directly), then revive and roll
-    // the range back to its source.
-    let report = recover_node(kv.sys.cluster(), 1, &kv.sys.layout(1), 0);
+    // Survivor-driven recovery (machine 0 reads the corpse's durable
+    // region directly) rolls the range back to its source; then revive.
+    let report = kv.sys.recover(1, 0).unwrap();
     kv.sys.cluster().faults().revive(1);
-    kv.resharder().recover(10, 59, 1);
 
     assert_eq!(kv.map().owner_of(30), Some(0), "{p:?}: range must return to its source");
     assert_eq!(kv.total_value(), expected, "{p:?}: conservation after rollback");
@@ -744,7 +735,7 @@ fn migration_crash_run(
 fn migration_crash_matrix_recovers_with_conservation() {
     for p in CrashPoint::ALL.into_iter().filter(|p| p.is_migration()) {
         let (ra, rr_a) = migration_crash_run(p, DoorbellConfig::default());
-        assert_eq!(ra, expected_report(p), "{p:?}: the log sweep must find nothing to repair");
+        assert_eq!(ra, expected_report(p), "{p:?}: recovery report mismatch");
         // Determinism: an identical run replays to identical reports.
         let (rb, rr_b) = migration_crash_run(p, DoorbellConfig::default());
         assert_eq!(rb, ra, "{p:?}: replay diverged");
@@ -754,6 +745,35 @@ fn migration_crash_matrix_recovers_with_conservation() {
         assert_eq!(rc, ra, "{p:?}: batching changed the recovery report");
         assert_eq!(rr_c, rr_a, "{p:?}: batching changed the migration");
     }
+}
+
+#[test]
+fn migration_purge_lock_on_a_dead_destination_is_released_once() {
+    let kv = ElasticKv::build(ElasticKvConfig {
+        nodes: 2,
+        keys_per_node: 100,
+        region_size: 16 << 20,
+        profile: LatencyProfile::zero(),
+        ..Default::default()
+    });
+    // The state a destination leaves when it dies inside the purge
+    // pass: the purge lock installed on a source entry (node 0, key 30)
+    // and the destination's journal armed with it.
+    let src = kv.sys.cluster().node(0).region();
+    let entry = kv.shard(0).collect_range_nt(src, 30, 30)[0].entry_off;
+    let word = LockState::write_locked(u8::MAX).0;
+    assert_eq!(src.cas_u64_nt(entry, 0, word), 0);
+    migration_journal(kv.sys.layout(1).migration_journal_off).arm(
+        kv.sys.cluster().node(1).region(),
+        PURGE_LOCKED,
+        [0, entry as u64, word],
+    );
+    kv.sys.cluster().faults().kill(1);
+
+    let report = kv.sys.recover(1, 0).unwrap();
+    assert_eq!(report, RecoveryReport { released_locks: 1, ..Default::default() });
+    assert_eq!(src.read_u64_nt(entry), 0, "the purge lock is released");
+    assert_eq!(kv.sys.recover(1, 0).unwrap(), RecoveryReport::default(), "journal disarmed");
 }
 
 // ---------------------------------------------------------------------
@@ -797,7 +817,7 @@ fn assert_no_membership_locks(kv: &ElasticKv) {
 
 /// Arms `site` on the joining machine (node 2 of a 2-node cluster),
 /// runs the join to its crash, then repairs via the membership journal.
-fn join_crash_run(site: &str, doorbell: DoorbellConfig) -> (ElasticKv, MembershipRecovery) {
+fn join_crash_run(site: &str, doorbell: DoorbellConfig) -> (ElasticKv, RecoveryReport) {
     let kv = membership_kv(2, 4, doorbell);
     assert_eq!(kv.total_value(), 2 * 100 * INIT_VALUE);
     kv.sys.cluster().faults().arm_crash(2, site);
@@ -808,7 +828,7 @@ fn join_crash_run(site: &str, doorbell: DoorbellConfig) -> (ElasticKv, Membershi
         "the armed crash must surface as a subject death"
     );
     assert!(kv.sys.cluster().faults().is_crashed(2));
-    let rec = kv.recover_membership(2, 0).expect("an armed join journal must dispatch recovery");
+    let rec = kv.sys.recover(2, 0).unwrap();
     (kv, rec)
 }
 
@@ -818,17 +838,13 @@ fn join_crash_points_roll_back_to_the_pre_join_geometry() {
     // Each donates its upper half to the joiner. Mid-stream the crash
     // fires with donation 0 landed and donation 1 about to be left
     // mid-copy; before-activate it fires with both landed.
-    let mid = MembershipRecovery {
-        node: 2,
-        direction: RecoveryDirection::RolledBack,
-        wal: RecoveryReport::default(),
-        released_locks: 0,
-        dropped_rows: 0,
+    let mid = RecoveryReport {
         evacuated_keys: 50,
         ranges: vec![(50, 99, 0)],
-        epoch: 3,
+        membership: Some((RecoveryDirection::RolledBack, 3)),
+        ..Default::default()
     };
-    let before = MembershipRecovery {
+    let before = RecoveryReport {
         evacuated_keys: 100,
         ranges: vec![(50, 99, 0), (150, 199, 1)],
         ..mid.clone()
@@ -851,8 +867,12 @@ fn join_crash_points_roll_back_to_the_pre_join_geometry() {
             FabricError::NodeRetired { node: 2 },
             "{p:?}: ops against the retired corpse fail typed"
         );
-        // The journal is spent: a second dispatch finds a plain death.
-        assert!(kv.recover_membership(2, 0).is_none(), "{p:?}: recovery not idempotent");
+        // The journal is spent: a second pass finds nothing to repair.
+        assert_eq!(
+            kv.sys.recover(2, 0).unwrap(),
+            RecoveryReport::default(),
+            "{p:?}: recovery not idempotent"
+        );
 
         // Replay determinism: an identical run yields a byte-identical
         // report, and doorbell batching must not change it either.
@@ -875,7 +895,7 @@ fn join_crash_points_roll_back_to_the_pre_join_geometry() {
 
 /// Arms the mid-drain site on a leaving machine that owns two ranges,
 /// runs the leave to its crash, then rolls the drain forward.
-fn leave_crash_run(doorbell: DoorbellConfig) -> (ElasticKv, MembershipRecovery) {
+fn leave_crash_run(doorbell: DoorbellConfig) -> (ElasticKv, RecoveryReport) {
     let kv = membership_kv(3, 0, doorbell);
     // Give the leaver a second range so one hand-off lands before the
     // crash and the next is left mid-copy: node 1 owns [0,49] and
@@ -890,7 +910,7 @@ fn leave_crash_run(doorbell: DoorbellConfig) -> (ElasticKv, MembershipRecovery) 
         "the armed crash must surface as a subject death"
     );
     assert!(kv.sys.cluster().faults().is_crashed(1));
-    let rec = kv.recover_membership(1, 0).expect("an armed leave journal must dispatch recovery");
+    let rec = kv.sys.recover(1, 0).unwrap();
     (kv, rec)
 }
 
@@ -898,15 +918,11 @@ fn leave_crash_run(doorbell: DoorbellConfig) -> (ElasticKv, MembershipRecovery) 
 fn leave_mid_drain_rolls_the_departure_forward() {
     // Hand-off of [0,49] to node 0 landed before the crash; [100,199]
     // restarts as an NVRAM evacuation to its journaled receiver, node 2.
-    let want = MembershipRecovery {
-        node: 1,
-        direction: RecoveryDirection::RolledForward,
-        wal: RecoveryReport::default(),
-        released_locks: 0,
-        dropped_rows: 0,
+    let want = RecoveryReport {
         evacuated_keys: 100,
         ranges: vec![(100, 199, 2)],
-        epoch: 3,
+        membership: Some((RecoveryDirection::RolledForward, 3)),
+        ..Default::default()
     };
     let (kv, rec) = leave_crash_run(DoorbellConfig::default());
     assert_eq!(rec, want, "recovery report mismatch");
@@ -925,7 +941,7 @@ fn leave_mid_drain_rolls_the_departure_forward() {
         FabricError::NodeRetired { node: 1 },
         "ops against the departed corpse fail typed"
     );
-    assert!(kv.recover_membership(1, 0).is_none(), "recovery not idempotent");
+    assert_eq!(kv.sys.recover(1, 0).unwrap(), RecoveryReport::default(), "recovery not idempotent");
 
     // Replay determinism, batching on and off.
     let (_, replay) = leave_crash_run(DoorbellConfig::default());
@@ -945,21 +961,17 @@ fn leave_mid_drain_rolls_the_departure_forward() {
 fn failure_detector_drives_membership_rollback() {
     let kv = membership_kv(2, 4, DoorbellConfig::default());
     let (tx, rx) = std::sync::mpsc::channel();
-    let cluster = kv.sys.cluster().clone();
-    let coordinator = kv.coordinator().clone();
+    let sys = kv.sys.clone();
     let fd = Arc::new(FailureDetector::start_with_capacity(
         2,
         4,
         Duration::from_millis(5),
         Duration::from_millis(400),
         move |crashed, survivor| {
-            if !cluster.faults().is_crashed(crashed) {
+            if !sys.cluster().faults().is_crashed(crashed) {
                 return;
             }
-            // Membership dispatch first; `None` would mean a plain
-            // (non-membership) death for the generic WAL sweep.
-            let rec = coordinator.recover(crashed, survivor);
-            let _ = tx.send((crashed, rec));
+            let _ = tx.send((crashed, sys.recover(crashed, survivor)));
         },
     ));
     kv.coordinator().set_detector(fd.clone());
@@ -971,18 +983,13 @@ fn failure_detector_drives_membership_rollback() {
     fd.kill(2);
     let (crashed, rec) = rx.recv_timeout(Duration::from_secs(10)).expect("detection must fire");
     assert_eq!(crashed, 2);
-    let rec = rec.expect("the join journal must drive a rollback");
     assert_eq!(
-        rec,
-        MembershipRecovery {
-            node: 2,
-            direction: RecoveryDirection::RolledBack,
-            wal: RecoveryReport::default(),
-            released_locks: 0,
-            dropped_rows: 0,
+        rec.unwrap(),
+        RecoveryReport {
             evacuated_keys: 100,
             ranges: vec![(50, 99, 0), (150, 199, 1)],
-            epoch: 3,
+            membership: Some((RecoveryDirection::RolledBack, 3)),
+            ..Default::default()
         }
     );
     assert_eq!(kv.total_value(), 2 * 100 * INIT_VALUE, "conservation after detected rollback");
@@ -1093,8 +1100,7 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
 
     // Zookeeper stand-in: detection drives recovery on a survivor.
     let (tx, rx) = std::sync::mpsc::channel();
-    let cluster = sb.sys.cluster().clone();
-    let layout = sb.sys.layout(2);
+    let sys = sb.sys.clone();
     // Generous timeout: a starved beater thread on a loaded host must
     // not be mistaken for a crash — and before running (destructive)
     // recovery, cross-check the suspicion against the fabric.
@@ -1103,11 +1109,10 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
         Duration::from_millis(5),
         Duration::from_millis(400),
         move |crashed, survivor| {
-            if !cluster.faults().is_crashed(crashed) {
+            if !sys.cluster().faults().is_crashed(crashed) {
                 return;
             }
-            let report = recover_node(&cluster, crashed, &layout, survivor);
-            let _ = tx.send((crashed, report));
+            let _ = tx.send((crashed, sys.recover(crashed, survivor)));
         },
     );
 
@@ -1159,9 +1164,10 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
         std::thread::sleep(Duration::from_millis(30));
         sb.sys.cluster().faults().kill(2);
         fd.kill(2);
-        let (crashed, _report) =
+        let (crashed, report) =
             rx.recv_timeout(Duration::from_secs(10)).expect("detector must drive recovery");
         assert_eq!(crashed, 2);
+        report.expect("recovery from a live survivor");
         // Survivors keep working against the reduced cluster.
         std::thread::sleep(Duration::from_millis(30));
         // Re-provision machine 2, then let the workers finish + drain.

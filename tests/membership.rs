@@ -12,8 +12,7 @@ use proptest::prelude::*;
 
 use drtm::rdma::{FabricError, LatencyProfile, NodeId};
 use drtm::txn::{
-    recover_node, CrashPoint, DrTmConfig, MembershipError, NodeState, RecoveryDirection,
-    RecoveryReport,
+    CrashPoint, DrTmConfig, MembershipError, NodeState, RecoveryDirection, RecoveryReport,
 };
 use drtm::workloads::elastic::{ElasticKv, ElasticKvConfig, INIT_VALUE};
 
@@ -35,8 +34,8 @@ enum MemOp {
     /// Leave with a crash armed mid-drain, then journal-driven
     /// roll-forward.
     LeaveCrash(u8),
-    /// Plain (non-membership) crash of an active machine: the WAL sweep
-    /// runs, the membership dispatch declines, the machine revives.
+    /// Plain (non-membership) crash of an active machine: recovery
+    /// finds nothing to repair, the machine revives.
     KillRevive(u8),
 }
 
@@ -111,12 +110,10 @@ proptest! {
                             }
                             Err(MembershipError::SubjectDied { node: n, .. }) => {
                                 prop_assert_eq!(n, node);
-                                let rec = kv
-                                    .recover_membership(node, active[0])
-                                    .expect("a journaled join death must dispatch");
+                                let rec = kv.sys.recover(node, active[0]).unwrap();
                                 prop_assert_eq!(
-                                    rec.direction,
-                                    RecoveryDirection::RolledBack
+                                    rec.membership.map(|(d, _)| d),
+                                    Some(RecoveryDirection::RolledBack)
                                 );
                                 model.push(NodeState::Retired);
                             }
@@ -145,12 +142,10 @@ proptest! {
                             Ok(r) => prop_assert_eq!(r.node, target),
                             Err(MembershipError::SubjectDied { node, .. }) => {
                                 prop_assert_eq!(node, target);
-                                let rec = kv
-                                    .recover_membership(target, via)
-                                    .expect("a journaled leave death must dispatch");
+                                let rec = kv.sys.recover(target, via).unwrap();
                                 prop_assert_eq!(
-                                    rec.direction,
-                                    RecoveryDirection::RolledForward
+                                    rec.membership.map(|(d, _)| d),
+                                    Some(RecoveryDirection::RolledForward)
                                 );
                             }
                             Err(e) => panic!("unexpected leave failure: {e}"),
@@ -166,12 +161,9 @@ proptest! {
                         let target = active[d as usize % active.len()];
                         let via = active.iter().copied().find(|&n| n != target).unwrap();
                         kv.sys.cluster().faults().kill(target);
-                        // Not a membership death: dispatch must decline...
-                        prop_assert!(kv.recover_membership(target, via).is_none());
-                        // ...and the quiesced WAL has nothing to repair.
-                        let report =
-                            recover_node(kv.sys.cluster(), target, &kv.sys.layout(target), via);
-                        prop_assert_eq!(report, RecoveryReport::default());
+                        // Not a membership death, and the quiesced WAL has
+                        // nothing to repair.
+                        prop_assert_eq!(kv.sys.recover(target, via).unwrap(), RecoveryReport::default());
                         kv.sys.cluster().faults().revive(target);
                     }
                 }
@@ -223,7 +215,7 @@ proptest! {
         if crash {
             kv.sys.cluster().faults().arm_crash(2, CrashPoint::JoinBeforeActivate.name());
             kv.join_node().unwrap_err();
-            kv.recover_membership(2, 0).expect("rollback");
+            kv.sys.recover(2, 0).unwrap();
         } else {
             kv.join_node().unwrap();
             kv.leave_node(2, 0).unwrap();

@@ -7,14 +7,13 @@ use drtm::htm::{Executor, HtmStats};
 use drtm::memstore::{Arena, ClusterHash};
 use drtm::rdma::{Cluster, ClusterConfig, LatencyProfile};
 use drtm::txn::{
-    recover_node, CrashPoint, DrTm, DrTmConfig, LockState, NodeLayout, SoftTimer, TxnError, TxnSpec,
+    CrashPoint, DrTm, DrTmConfig, LockState, NodeLayout, SoftTimer, TxnError, TxnSpec,
 };
 use drtm::workloads::resolve::Table;
 
 struct Fixture {
     sys: Arc<DrTm>,
     accounts: Arc<Table>,
-    layout: NodeLayout,
     _timer: SoftTimer,
 }
 
@@ -39,11 +38,9 @@ fn fixture(crash: Option<CrashPoint>) -> Fixture {
         shards.push(Arc::new(t));
     }
     let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-    let layout = layouts[0].clone();
     Fixture {
         sys: DrTm::new(cluster, cfg, layouts),
         accounts: Arc::new(Table::new(shards)),
-        layout,
         _timer: timer,
     }
 }
@@ -78,7 +75,7 @@ fn crash_and_recover(crash: CrashPoint) -> Fixture {
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = f.sys.recover(0, 1).unwrap();
     assert!(report.redone_txns + report.rolled_back_txns > 0, "log must be found");
     f
 }
@@ -115,7 +112,7 @@ fn crash_mid_write_back_completes_exactly_once() {
 #[test]
 fn recovery_is_idempotent_and_cluster_stays_usable() {
     let f = crash_and_recover(CrashPoint::AfterHtmCommit);
-    let again = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+    let again = f.sys.recover(0, 2).unwrap();
     assert_eq!(again.redone_txns, 0);
     assert_eq!(again.redone_updates, 0);
     // Survivors (and a restarted machine 0) can transact on the same
@@ -147,7 +144,7 @@ fn clean_execution_leaves_empty_logs() {
         })
         .unwrap();
     }
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = f.sys.recover(0, 1).unwrap();
     assert_eq!(report.redone_txns, 0, "completed txns leave no pending log");
     assert_eq!(report.rolled_back_txns, 0);
     assert_eq!(value(&f, 1, 0), 105);
@@ -171,19 +168,17 @@ fn failure_detector_drives_recovery_end_to_end() {
 
     // Zookeeper stand-in: detection triggers recovery on a survivor.
     let (tx, rx) = std::sync::mpsc::channel();
-    let cluster = f.sys.cluster().clone();
-    let layout = f.layout.clone();
+    let sys = f.sys.clone();
     let fd = FailureDetector::start(
         3,
         Duration::from_millis(5),
         Duration::from_millis(400),
         move |crashed, survivor| {
-            let report = recover_node(&cluster, crashed, &layout, survivor);
-            let _ = tx.send(report);
+            let _ = tx.send(sys.recover(crashed, survivor));
         },
     );
     fd.kill(0);
-    let report = rx.recv_timeout(Duration::from_secs(10)).expect("recovery ran");
+    let report = rx.recv_timeout(Duration::from_secs(10)).expect("recovery ran").unwrap();
     assert_eq!(report.redone_txns, 1);
     assert_eq!(value(&f, 1, 2), 105, "committed update redone by the survivor");
     assert!(state(&f, 1, 2).is_init());
@@ -205,7 +200,7 @@ fn chop_info_survives_a_crash() {
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = f.sys.recover(0, 1).unwrap();
     assert_eq!(
         report.pending_pieces,
         vec![ChopInfo { kind: 4, piece: 2, total: 5, arg: 9 }],
