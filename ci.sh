@@ -20,8 +20,12 @@
 # 16 machines x 32 workers — 512 logical workers, feasible only because
 # the pipelined engine multiplexes them onto a small OS thread pool —
 # and check_bench_json validates the doorbell-batching fields
-# (extra.rdma_ops_per_doorbell > 1.0, batched per-op cost below
-# unbatched). See EXPERIMENTS.md for the schema.
+# (extra.rdma_ops_per_doorbell present and > 1.0, batched per-op cost
+# below unbatched). See EXPERIMENTS.md for the schema.
+#
+# Which extra fields each bench's ledger must carry is check_bench_json's
+# per-bench REQUIRED_EXTRA table (fig10d: resize segment; fig12: doorbell
+# ratio and membership segment; tab6: ro_log_bytes), not greps here.
 #
 # With --resize-smoke, additionally runs the elastic-memstore gates at
 # minimum scale: the split-ordered/fixed-size observational-equivalence
@@ -34,7 +38,8 @@
 # log-before-unlock crash points — the crash_recovery example (asserts
 # idempotent recovery and restored balances), and the crash+recovery
 # plus durable-free read-only segments of tab6_durability, validating
-# its emitted JSON (extra.recovery_ms, extra.ro_log_bytes == 0).
+# its emitted JSON (extra.recovery_ms, extra.ro_log_bytes present and
+# exactly 0).
 #
 # With --membership-smoke, additionally runs the cluster-membership
 # gates at minimum scale: the membership crash points of the chaos
@@ -44,7 +49,7 @@
 # workload-level round-trip and typed routing-gate tests, and the fig12
 # membership-churn segment, validating its emitted JSON
 # (extra.membership_throughput_ratio >= 0.6, extra.join_ms/drain_ms
-# positive).
+# positive, extra.membership_throughput_ratio present).
 #
 # Every name-filtered smoke stage fails when one of its filters matches
 # no test, so a renamed test cannot turn a gate into "running 0 tests".
@@ -120,8 +125,6 @@ if [ "$BENCH_SMOKE" = 1 ]; then
   echo "== bench smoke: validate emitted JSON + diff vs committed baselines =="
   cargo run -q --release -p drtm-bench --bin check_bench_json -- \
     --diff . "$SMOKE_OUT"/BENCH_*.json
-  grep -q '"rdma_ops_per_doorbell"' "$SMOKE_OUT"/BENCH_fig12_tpcc_machines.json \
-    || { echo "fig12 ledger missing rdma_ops_per_doorbell" >&2; exit 1; }
 fi
 
 if [ "$RESIZE_SMOKE" = 1 ]; then
@@ -150,8 +153,6 @@ if [ "$MEMBERSHIP_SMOKE" = 1 ]; then
   echo "== membership smoke: validate emitted JSON =="
   cargo run -q --release -p drtm-bench --bin check_bench_json -- \
     "$MEM_OUT"/BENCH_fig12_tpcc_machines.json
-  grep -q '"membership_throughput_ratio"' "$MEM_OUT"/BENCH_fig12_tpcc_machines.json \
-    || { echo "fig12 ledger missing membership_throughput_ratio" >&2; exit 1; }
 fi
 
 if [ "$CHAOS_SMOKE" = 1 ]; then
@@ -169,8 +170,6 @@ if [ "$CHAOS_SMOKE" = 1 ]; then
   echo "== chaos smoke: validate emitted JSON =="
   cargo run -q --release -p drtm-bench --bin check_bench_json -- \
     "$CHAOS_OUT"/BENCH_tab6_durability.json
-  grep -q '"ro_log_bytes": 0.0' "$CHAOS_OUT"/BENCH_tab6_durability.json \
-    || { echo "tab6 ledger missing ro_log_bytes == 0" >&2; exit 1; }
 fi
 
 echo "CI OK"

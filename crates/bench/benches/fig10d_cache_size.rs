@@ -18,6 +18,7 @@ use drtm_bench::kv::{KvBench, KvSystem};
 use drtm_bench::report::BenchReport;
 use drtm_bench::{banner, f, mops, row, scaled};
 use drtm_core::AbortCause;
+use drtm_memstore::CacheStats;
 use drtm_rdma::NodeId;
 use drtm_workloads::dist::{rng, KeyDist};
 use drtm_workloads::driver;
@@ -44,7 +45,7 @@ fn main() {
     let mut uniform_full = 0.0;
     let mut zipf_small = 0.0;
     let mut rep = BenchReport::new("fig10d_cache_size", 0.0, 0.0);
-    let mut full_warm_stats = drtm_memstore::CacheStats::default();
+    let mut full_warm_stats = CacheStats::default();
     for &budget in &budgets {
         let mut cols = vec![format!("{}KB", budget >> 10)];
         for (dname, dist) in
@@ -168,29 +169,25 @@ fn main() {
         (rep, stats)
     });
     assert_eq!(kv.total_value(), total_keys * INIT_VALUE, "conservation across live resharding");
-    let e1 = kv.elastic_stats();
-    let rs1 = kv.reshard_stats();
+    let es = kv.elastic_stats().since(&e0);
+    let rs = kv.reshard_stats().since(&rs0);
     let s_tput = steady.throughput();
     let d_tput = during.0.throughput();
-    let dl = e1.lookups.saturating_sub(e0.lookups);
-    let dh = e1.extra_hops.saturating_sub(e0.extra_hops);
-    let hops_per_lookup = if dl > 0 { dh as f64 / dl as f64 } else { 0.0 };
-    let migrated_mb = rs1.bytes_moved.saturating_sub(rs0.bytes_moved) as f64 / (1 << 20) as f64;
-    let doublings = e1.grows.saturating_sub(e0.grows);
+    let hops_per_lookup = es.extra_hops_per_lookup();
+    let migrated_mb = rs.bytes_moved as f64 / (1 << 20) as f64;
     row(&["resize".into(), "steady".into(), "during".into(), "ratio".into()]);
     row(&["tput".into(), mops(s_tput), mops(d_tput), f(d_tput / s_tput)]);
-    let inv: u64 = (0..2).map(|n| kv.cache(n).stats().migration_invalidations).sum();
-    let fwd: u64 = (0..2).map(|n| kv.cache(n).stats().forced_misses).sum();
+    let cs: CacheStats = (0..2).map(|n| kv.cache(n).stats()).sum();
     println!(
         "resize diagnostics: {} migrations, {:.2} MB moved, {} doublings, \
          {:.4} extra hops/lookup, {} migration invalidations, {} forced misses, \
          {} Migrated aborts",
-        rs1.migrations - rs0.migrations,
+        rs.migrations,
         migrated_mb,
-        doublings,
+        es.grows,
         hops_per_lookup,
-        inv,
-        fwd,
+        cs.migration_invalidations,
+        cs.forced_misses,
         kv.sys.trace().causes().get(AbortCause::Migrated),
     );
     drtm_bench::diagnostics("resize/during", &during.1);
@@ -199,8 +196,8 @@ fn main() {
     rep.push_extra("resize_ratio", d_tput / s_tput);
     rep.push_extra("resize_extra_hops_per_lookup", hops_per_lookup);
     rep.push_extra("resize_migrated_mb", migrated_mb);
-    rep.push_extra("resize_doublings", doublings as f64);
-    rep.push_extra("resize_migrations", (rs1.migrations - rs0.migrations) as f64);
+    rep.push_extra("resize_doublings", es.grows as f64);
+    rep.push_extra("resize_migrations", rs.migrations as f64);
 
     rep.wall_seconds = wall.elapsed().as_secs_f64();
     rep.throughput = uniform_full;

@@ -5,20 +5,19 @@
 //! directory (`DRTM_BENCH_OUT` or the repo root). A file fails if it
 //! does not parse, misses a required key, carries a non-numeric
 //! (`null` = NaN/inf at emission time) required value, reports
-//! zero/negative throughput or wall time, claims a non-zero
-//! `extra.ro_log_bytes`, records doorbell batching on
+//! zero/negative throughput or wall time, lacks an `extra` key its bench
+//! must carry ([`REQUIRED_EXTRA`]: fig10d's resize segment, fig12's
+//! doorbell ratio and membership segment, tab6's `ro_log_bytes`),
+//! claims a non-zero `extra.ro_log_bytes`, records doorbell batching on
 //! (`extra.rdma_batch_size` > 1) without `extra.rdma_ops_per_doorbell`
 //! exceeding 1.0, carries a batched/unbatched per-op cost pair where
 //! batching failed to lower the cost, carries a live-resize segment
 //! whose during-resize throughput fell below [`MIN_RESIZE_RATIO`]× of
 //! steady (or whose extra-hops-per-lookup breaks the split-order ≤ 1
-//! invariant), is the `fig10d_cache_size` ledger without a resize
-//! segment at all, carries a membership-churn segment whose
-//! during-churn throughput fell below [`MIN_MEMBERSHIP_RATIO`]× of
-//! steady (or whose `extra.join_ms`/`extra.drain_ms` are non-positive),
-//! or is the `fig12_tpcc_machines` ledger without a membership segment
-//! at all — any of which means the harness produced garbage, not a
-//! slow result.
+//! invariant), or carries a membership-churn segment whose during-churn
+//! throughput fell below [`MIN_MEMBERSHIP_RATIO`]× of steady (or whose
+//! `extra.join_ms`/`extra.drain_ms` are non-positive) — any of which
+//! means the harness produced garbage, not a slow result.
 //!
 //! With `--diff BASELINE_DIR`, each checked file is also compared
 //! against the same-named file in `BASELINE_DIR`: a throughput drop of
@@ -42,6 +41,23 @@ const REQUIRED_NUMERIC: &[&str] = &[
     "cache_hit_rate",
 ];
 
+/// `extra` keys each bench's ledger must carry, by bench name. The value
+/// rules in [`check`] apply wherever a key appears; this table makes the
+/// segments they judge mandatory for the benches that produce them.
+const REQUIRED_EXTRA: &[(&str, &[&str])] = &[
+    ("fig10d_cache_size", &["resize_throughput_steady", "resize_throughput_during"]),
+    (
+        "fig12_tpcc_machines",
+        &[
+            "rdma_ops_per_doorbell",
+            "membership_throughput_steady",
+            "membership_throughput_during",
+            "membership_throughput_ratio",
+        ],
+    ),
+    ("tab6_durability", &["ro_log_bytes"]),
+];
+
 /// Largest tolerated fractional throughput drop against a baseline.
 const MAX_REGRESSION: f64 = 0.10;
 
@@ -54,13 +70,16 @@ const MIN_RESIZE_RATIO: f64 = 0.70;
 /// its steady-state throughput.
 const MIN_MEMBERSHIP_RATIO: f64 = 0.60;
 
-fn check(path: &PathBuf) -> Result<(), String> {
+fn check_file(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
-    let j = parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    match j.get("bench") {
-        Some(Json::Str(s)) if !s.is_empty() => {}
+    check(&parse(&text).map_err(|e| format!("invalid JSON: {e}"))?)
+}
+
+fn check(j: &Json) -> Result<(), String> {
+    let bench = match j.get("bench") {
+        Some(Json::Str(s)) if !s.is_empty() => s.as_str(),
         _ => return Err("missing or empty \"bench\"".into()),
-    }
+    };
     for key in REQUIRED_NUMERIC {
         let v = j.get(key).ok_or(format!("missing \"{key}\""))?;
         let x = v.as_f64().ok_or(format!("\"{key}\" is not a finite number (got {v:?})"))?;
@@ -80,17 +99,22 @@ fn check(path: &PathBuf) -> Result<(), String> {
             other => return Err(format!("\"{key}\" must be an object (got {other:?})")),
         }
     }
+    if let Some((_, keys)) = REQUIRED_EXTRA.iter().find(|(b, _)| *b == bench) {
+        if let Some(key) = keys.iter().find(|k| extra_of(j, k).is_none()) {
+            return Err(format!("{bench} must carry extra.{key}"));
+        }
+    }
     // The durable-free read-only invariant is absolute, not a threshold:
     // if a ledger carries the counter at all, it must be exactly zero.
-    if let Some(bytes) = extra_of(&j, "ro_log_bytes") {
+    if let Some(bytes) = extra_of(j, "ro_log_bytes") {
         if bytes != 0.0 {
             return Err(format!("extra.ro_log_bytes must be exactly 0 (got {bytes})"));
         }
     }
     // Doorbell-batching claims: a ledger that says batching was on must
     // show real batches (>1 op per doorbell ring) ...
-    if extra_of(&j, "rdma_batch_size").is_some_and(|b| b > 1.0) {
-        match extra_of(&j, "rdma_ops_per_doorbell") {
+    if extra_of(j, "rdma_batch_size").is_some_and(|b| b > 1.0) {
+        match extra_of(j, "rdma_ops_per_doorbell") {
             None => {
                 return Err("extra.rdma_batch_size > 1 requires extra.rdma_ops_per_doorbell".into())
             }
@@ -105,7 +129,7 @@ fn check(path: &PathBuf) -> Result<(), String> {
     // ... and a batched-vs-unbatched cost pair must show batching
     // actually lowering the per-op virtual cost.
     if let (Some(batched), Some(unbatched)) =
-        (extra_of(&j, "rdma_op_cost_batched_ns"), extra_of(&j, "rdma_op_cost_unbatched_ns"))
+        (extra_of(j, "rdma_op_cost_batched_ns"), extra_of(j, "rdma_op_cost_unbatched_ns"))
     {
         if !(batched > 0.0 && unbatched > 0.0 && batched < unbatched) {
             return Err(format!(
@@ -114,19 +138,11 @@ fn check(path: &PathBuf) -> Result<(), String> {
             ));
         }
     }
-    // Live-resize segment: the elastic-memstore ledger must carry one,
-    // its during-resize throughput must hold MIN_RESIZE_RATIO of steady,
-    // and the split-ordered table's resize overhead must respect the
-    // ≤ 1 extra-chain-hop-per-lookup invariant.
-    let steady = extra_of(&j, "resize_throughput_steady");
-    let during = extra_of(&j, "resize_throughput_during");
-    if matches!(j.get("bench"), Some(Json::Str(s)) if s == "fig10d_cache_size")
-        && (steady.is_none() || during.is_none())
-    {
-        return Err("fig10d_cache_size must carry the live-resize segment \
-             (extra.resize_throughput_steady / extra.resize_throughput_during)"
-            .into());
-    }
+    // Live-resize segment: its during-resize throughput must hold
+    // MIN_RESIZE_RATIO of steady, and the split-ordered table's resize
+    // overhead must respect the ≤ 1 extra-chain-hop-per-lookup invariant.
+    let steady = extra_of(j, "resize_throughput_steady");
+    let during = extra_of(j, "resize_throughput_during");
     match (steady, during) {
         (Some(s), Some(d)) => {
             if !(s > 0.0 && d > 0.0) {
@@ -149,7 +165,7 @@ fn check(path: &PathBuf) -> Result<(), String> {
             )
         }
     }
-    if let Some(h) = extra_of(&j, "resize_extra_hops_per_lookup") {
+    if let Some(h) = extra_of(j, "resize_extra_hops_per_lookup") {
         if !(0.0..=1.0).contains(&h) {
             return Err(format!(
                 "extra.resize_extra_hops_per_lookup must be within [0, 1] \
@@ -157,19 +173,11 @@ fn check(path: &PathBuf) -> Result<(), String> {
             ));
         }
     }
-    // Membership-churn segment: the cluster-membership ledger must
-    // carry one, its during-churn throughput must hold
-    // MIN_MEMBERSHIP_RATIO of steady, and the reconfiguration timings
-    // it claims must be real (positive) measurements.
-    let m_steady = extra_of(&j, "membership_throughput_steady");
-    let m_during = extra_of(&j, "membership_throughput_during");
-    if matches!(j.get("bench"), Some(Json::Str(s)) if s == "fig12_tpcc_machines")
-        && (m_steady.is_none() || m_during.is_none())
-    {
-        return Err("fig12_tpcc_machines must carry the membership-churn segment \
-             (extra.membership_throughput_steady / extra.membership_throughput_during)"
-            .into());
-    }
+    // Membership-churn segment: its during-churn throughput must hold
+    // MIN_MEMBERSHIP_RATIO of steady, and the reconfiguration timings it
+    // claims must be real (positive) measurements.
+    let m_steady = extra_of(j, "membership_throughput_steady");
+    let m_during = extra_of(j, "membership_throughput_during");
     match (m_steady, m_during) {
         (Some(s), Some(d)) => {
             if !(s > 0.0 && d > 0.0) {
@@ -185,7 +193,7 @@ fn check(path: &PathBuf) -> Result<(), String> {
                 ));
             }
             for key in ["join_ms", "drain_ms"] {
-                match extra_of(&j, key) {
+                match extra_of(j, key) {
                     Some(ms) if ms > 0.0 => {}
                     Some(ms) => {
                         return Err(format!("extra.{key} must be positive (got {ms})"));
@@ -259,6 +267,23 @@ fn diff(path: &Path, baseline_dir: &Path) -> Result<String, String> {
     ))
 }
 
+/// Every `BENCH_*.json` directly under `dir`, sorted.
+fn ledgers_in(dir: &Path) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map(|rd| {
+            rd.filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| {
+                    p.file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    found.sort();
+    found
+}
+
 fn main() -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut args: Vec<PathBuf> = Vec::new();
@@ -278,18 +303,7 @@ fn main() -> ExitCode {
     }
     let files = if args.is_empty() {
         let dir = out_dir();
-        let mut found: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .map(|rd| {
-                rd.filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| {
-                        p.file_name()
-                            .and_then(|n| n.to_str())
-                            .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        found.sort();
+        let found = ledgers_in(&dir);
         if found.is_empty() {
             eprintln!("check_bench_json: no BENCH_*.json under {}", dir.display());
             return ExitCode::FAILURE;
@@ -300,7 +314,7 @@ fn main() -> ExitCode {
     };
     let mut failed = false;
     for f in &files {
-        match check(f) {
+        match check_file(f) {
             Ok(()) => println!("ok      {}", f.display()),
             Err(e) => {
                 println!("FAILED  {}: {e}", f.display());
@@ -321,5 +335,45 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn repo_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    #[test]
+    fn committed_ledgers_pass() {
+        let ledgers = ledgers_in(&repo_root());
+        for (bench, _) in REQUIRED_EXTRA {
+            let name = format!("BENCH_{bench}.json");
+            assert!(ledgers.iter().any(|p| p.ends_with(&name)), "no committed {name}");
+        }
+        for path in &ledgers {
+            check_file(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        }
+    }
+
+    #[test]
+    fn each_required_extra_key_is_enforced() {
+        for (bench, keys) in REQUIRED_EXTRA {
+            let path = repo_root().join(format!("BENCH_{bench}.json"));
+            let full = parse(&std::fs::read_to_string(&path).expect("committed ledger"))
+                .expect("committed ledger parses");
+            for key in *keys {
+                let mut j = full.clone();
+                let Json::Obj(top) = &mut j else { panic!("{bench}: ledger is not an object") };
+                let Some(Json::Obj(extra)) = top.get_mut("extra") else {
+                    panic!("{bench}: no extra object")
+                };
+                assert!(extra.remove(*key).is_some(), "{bench}: committed ledger lacks {key}");
+                let err = check(&j).expect_err("a ledger without a required key must fail");
+                assert_eq!(err, format!("{bench} must carry extra.{key}"));
+            }
+        }
     }
 }

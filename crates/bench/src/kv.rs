@@ -173,15 +173,7 @@ impl KvBench {
     /// Aggregated location-cache counters across all client machines
     /// (all zero when the system has no cache).
     pub fn cache_stats(&self) -> drtm_memstore::CacheStats {
-        let mut total = drtm_memstore::CacheStats::default();
-        for c in &self.caches {
-            let s = c.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.fetches += s.fetches;
-            total.invalidations += s.invalidations;
-        }
-        total
+        self.caches.iter().map(|c| c.stats()).sum()
     }
 
     fn get(&self, client: NodeId, key: u64) -> (bool, u32) {

@@ -1,51 +1,38 @@
 //! Transaction-layer counters (beyond the HTM-level [`drtm_htm::HtmStats`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Cluster-wide transaction outcome counters.
-#[derive(Debug, Default)]
-pub struct TxnStats {
-    committed: AtomicU64,
-    fallback_committed: AtomicU64,
-    user_aborts: AtomicU64,
-    start_conflicts: AtomicU64,
-    lease_confirm_fails: AtomicU64,
-    ro_committed: AtomicU64,
-    ro_retries: AtomicU64,
-    peer_dead_aborts: AtomicU64,
-    log_writes: AtomicU64,
-    log_bytes: AtomicU64,
-    log_done_waits: AtomicU64,
-}
-
-/// Point-in-time copy of [`TxnStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TxnStatsSnapshot {
-    /// Read-write transactions committed (HTM or fallback path).
-    pub committed: u64,
-    /// Of those, how many committed via the 2PL fallback handler.
-    pub fallback_committed: u64,
-    /// Transactions ended by a user-initiated abort.
-    pub user_aborts: u64,
-    /// Start-phase restarts due to remote lock/lease conflicts.
-    pub start_conflicts: u64,
-    /// Commit-time lease confirmations that failed (expired lease).
-    pub lease_confirm_fails: u64,
-    /// Read-only transactions committed.
-    pub ro_committed: u64,
-    /// Read-only transaction retries (confirmation failures).
-    pub ro_retries: u64,
-    /// Transactions aborted because a peer machine was crashed (or a
-    /// fabric op timed out); retriable only after recovery.
-    pub peer_dead_aborts: u64,
-    /// Durability-log records persisted (lock-ahead, write-ahead, or
-    /// chop). Zero on the read-only path even with logging enabled —
-    /// the invariant the RO tests assert by counter.
-    pub log_writes: u64,
-    /// Payload bytes of those log records.
-    pub log_bytes: u64,
-    /// `log_done` completion markers a committing worker waited on.
-    pub log_done_waits: u64,
+drtm_htm::counter_set! {
+    /// Cluster-wide transaction outcome counters.
+    pub struct TxnStats;
+    /// Point-in-time copy of [`TxnStats`].
+    pub struct TxnStatsSnapshot {
+        /// Read-write transactions committed (HTM or fallback path).
+        committed: u64,
+        /// Of those, how many committed via the 2PL fallback handler.
+        fallback_committed: u64,
+        /// Transactions ended by a user-initiated abort.
+        user_aborts: u64,
+        /// Start-phase restarts due to remote lock/lease conflicts.
+        start_conflicts: u64,
+        /// Commit-time lease confirmations that failed (expired lease).
+        lease_confirm_fails: u64,
+        /// Read-only transactions committed.
+        ro_committed: u64,
+        /// Read-only transaction retries (confirmation failures).
+        ro_retries: u64,
+        /// Transactions aborted because a peer machine was crashed (or a
+        /// fabric op timed out); retriable only after recovery.
+        peer_dead_aborts: u64,
+        /// Durability-log records persisted (lock-ahead, write-ahead, or
+        /// chop). Zero on the read-only path even with logging enabled —
+        /// the invariant the RO tests assert by counter.
+        log_writes: u64,
+        /// Payload bytes of those log records.
+        log_bytes: u64,
+        /// `log_done` completion markers a committing worker waited on.
+        log_done_waits: u64,
+    }
 }
 
 impl TxnStats {
@@ -93,38 +80,6 @@ impl TxnStats {
     pub(crate) fn add_log_done_wait(&self) {
         self.log_done_waits.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> TxnStatsSnapshot {
-        TxnStatsSnapshot {
-            committed: self.committed.load(Ordering::Relaxed),
-            fallback_committed: self.fallback_committed.load(Ordering::Relaxed),
-            user_aborts: self.user_aborts.load(Ordering::Relaxed),
-            start_conflicts: self.start_conflicts.load(Ordering::Relaxed),
-            lease_confirm_fails: self.lease_confirm_fails.load(Ordering::Relaxed),
-            ro_committed: self.ro_committed.load(Ordering::Relaxed),
-            ro_retries: self.ro_retries.load(Ordering::Relaxed),
-            peer_dead_aborts: self.peer_dead_aborts.load(Ordering::Relaxed),
-            log_writes: self.log_writes.load(Ordering::Relaxed),
-            log_bytes: self.log_bytes.load(Ordering::Relaxed),
-            log_done_waits: self.log_done_waits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.committed.store(0, Ordering::Relaxed);
-        self.fallback_committed.store(0, Ordering::Relaxed);
-        self.user_aborts.store(0, Ordering::Relaxed);
-        self.start_conflicts.store(0, Ordering::Relaxed);
-        self.lease_confirm_fails.store(0, Ordering::Relaxed);
-        self.ro_committed.store(0, Ordering::Relaxed);
-        self.ro_retries.store(0, Ordering::Relaxed);
-        self.peer_dead_aborts.store(0, Ordering::Relaxed);
-        self.log_writes.store(0, Ordering::Relaxed);
-        self.log_bytes.store(0, Ordering::Relaxed);
-        self.log_done_waits.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +112,5 @@ mod tests {
         assert_eq!(snap.log_writes, 2);
         assert_eq!(snap.log_bytes, 64);
         assert_eq!(snap.log_done_waits, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), TxnStatsSnapshot::default());
     }
 }

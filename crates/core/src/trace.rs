@@ -21,7 +21,7 @@
 //!   print alongside throughput.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use drtm_htm::{vtime, Abort};
@@ -349,38 +349,28 @@ impl fmt::Display for TraceDump {
     }
 }
 
-/// Per-phase accumulated virtual time and record-level remote operations.
-#[derive(Debug, Default)]
-pub struct PhaseStats {
-    vtime_ns: [AtomicU64; Phase::COUNT],
-    record_ops: [AtomicU64; Phase::COUNT],
-}
-
-/// Point-in-time copy of one phase's accumulators.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseLine {
-    /// Virtual nanoseconds spent in the phase across all workers.
-    pub vtime_ns: u64,
-    /// Record-level remote operations (lock, lease, fetch, write-back,
-    /// unlock) issued from the phase; verbs-level totals are in the
-    /// joined RDMA counters.
-    pub record_ops: u64,
-}
-
-impl PhaseLine {
-    fn since(&self, earlier: &PhaseLine) -> PhaseLine {
-        PhaseLine {
-            vtime_ns: self.vtime_ns - earlier.vtime_ns,
-            record_ops: self.record_ops - earlier.record_ops,
-        }
+drtm_htm::counter_set! {
+    /// Live accumulators of one phase (an element of [`PhaseStats`]).
+    pub struct PhaseCounters;
+    /// Point-in-time copy of one phase's accumulators.
+    pub struct PhaseLine {
+        /// Virtual nanoseconds spent in the phase across all workers.
+        vtime_ns: u64,
+        /// Record-level remote operations (lock, lease, fetch, write-back,
+        /// unlock) issued from the phase; verbs-level totals are in the
+        /// joined RDMA counters.
+        record_ops: u64,
     }
 }
 
-/// Point-in-time copy of [`PhaseStats`], indexed by [`Phase`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseSnapshot {
-    /// Per-phase lines, indexed by [`Phase::index`].
-    pub phases: [PhaseLine; Phase::COUNT],
+drtm_htm::counter_set! {
+    /// Per-phase accumulated virtual time and record-level remote operations.
+    pub struct PhaseStats;
+    /// Point-in-time copy of [`PhaseStats`], indexed by [`Phase`].
+    pub struct PhaseSnapshot {
+        /// Per-phase lines, indexed by [`Phase::index`].
+        phases: [PhaseLine; Phase::COUNT],
+    }
 }
 
 impl PhaseSnapshot {
@@ -388,34 +378,13 @@ impl PhaseSnapshot {
     pub fn get(&self, p: Phase) -> PhaseLine {
         self.phases[p.index()]
     }
-
-    /// Component-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &PhaseSnapshot) -> PhaseSnapshot {
-        let mut out = PhaseSnapshot::default();
-        for i in 0..Phase::COUNT {
-            out.phases[i] = self.phases[i].since(&earlier.phases[i]);
-        }
-        out
-    }
 }
 
 impl PhaseStats {
     pub(crate) fn add(&self, phase: Phase, vtime_ns: u64, record_ops: u64) {
-        let i = phase.index();
-        self.vtime_ns[i].fetch_add(vtime_ns, Ordering::Relaxed);
-        self.record_ops[i].fetch_add(record_ops, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of the accumulators.
-    pub fn snapshot(&self) -> PhaseSnapshot {
-        let mut out = PhaseSnapshot::default();
-        for i in 0..Phase::COUNT {
-            out.phases[i] = PhaseLine {
-                vtime_ns: self.vtime_ns[i].load(Ordering::Relaxed),
-                record_ops: self.record_ops[i].load(Ordering::Relaxed),
-            };
-        }
-        out
+        let line = &self.phases[phase.index()];
+        line.vtime_ns.fetch_add(vtime_ns, Ordering::Relaxed);
+        line.record_ops.fetch_add(record_ops, Ordering::Relaxed);
     }
 }
 
@@ -441,11 +410,14 @@ impl Drop for PhaseTimer<'_> {
     }
 }
 
-/// Point-in-time copy of the per-cause abort counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CauseSnapshot {
-    /// Counts indexed by [`AbortCause::index`].
-    pub counts: [u64; NUM_CAUSES],
+drtm_htm::counter_set! {
+    /// Live per-cause abort counters (see [`TraceHub::causes`]).
+    pub struct CauseCounters;
+    /// Point-in-time copy of the per-cause abort counters.
+    pub struct CauseSnapshot {
+        /// Counts indexed by [`AbortCause::index`].
+        counts: [u64; NUM_CAUSES],
+    }
 }
 
 impl CauseSnapshot {
@@ -457,15 +429,6 @@ impl CauseSnapshot {
     /// Total aborts of every cause.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Component-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &CauseSnapshot) -> CauseSnapshot {
-        let mut out = CauseSnapshot::default();
-        for i in 0..NUM_CAUSES {
-            out.counts[i] = self.counts[i] - earlier.counts[i];
-        }
-        out
     }
 
     /// `(kind name, count)` for every non-zero cause, largest first.
@@ -486,7 +449,7 @@ impl CauseSnapshot {
 #[derive(Debug)]
 pub struct TraceHub {
     ring_capacity: usize,
-    causes: [AtomicU64; NUM_CAUSES],
+    causes: CauseCounters,
     pub(crate) phases: PhaseStats,
     rings: Mutex<Vec<std::sync::Arc<TraceBuf>>>,
 }
@@ -497,7 +460,7 @@ impl TraceHub {
     pub fn new(ring_capacity: usize) -> TraceHub {
         TraceHub {
             ring_capacity: ring_capacity.max(1),
-            causes: Default::default(),
+            causes: CauseCounters::default(),
             phases: PhaseStats::default(),
             rings: Mutex::new(Vec::new()),
         }
@@ -512,17 +475,13 @@ impl TraceHub {
 
     /// Counts the cause and appends the event to the worker's ring.
     pub(crate) fn record(&self, ring: &TraceBuf, ev: TraceEvent) {
-        self.causes[ev.cause.index()].fetch_add(1, Ordering::Relaxed);
+        self.causes.counts[ev.cause.index()].fetch_add(1, Ordering::Relaxed);
         ring.push(ev);
     }
 
     /// Snapshot of the per-cause counters.
     pub fn causes(&self) -> CauseSnapshot {
-        let mut out = CauseSnapshot::default();
-        for i in 0..NUM_CAUSES {
-            out.counts[i] = self.causes[i].load(Ordering::Relaxed);
-        }
-        out
+        self.causes.snapshot()
     }
 
     /// Snapshot of the per-phase accumulators.
@@ -544,64 +503,28 @@ impl TraceHub {
     }
 }
 
-/// Every counter layer of the system joined into one report.
-///
-/// Take one before and one after a measured window and diff them with
-/// [`StatsReport::since`]; `Display` prints the breakdown the benchmark
-/// harnesses show alongside throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StatsReport {
-    /// Transaction-layer outcomes.
-    pub txn: TxnStatsSnapshot,
-    /// HTM-layer commits/aborts.
-    pub htm: drtm_htm::StatsSnapshot,
-    /// Cluster-wide RDMA verb counters.
-    pub rdma: CounterSnapshot,
-    /// Unified per-cause abort counts.
-    pub causes: CauseSnapshot,
-    /// Per-phase virtual-time / record-op breakdown.
-    pub phases: PhaseSnapshot,
-}
-
-fn txn_since(a: &TxnStatsSnapshot, b: &TxnStatsSnapshot) -> TxnStatsSnapshot {
-    TxnStatsSnapshot {
-        committed: a.committed - b.committed,
-        fallback_committed: a.fallback_committed - b.fallback_committed,
-        user_aborts: a.user_aborts - b.user_aborts,
-        start_conflicts: a.start_conflicts - b.start_conflicts,
-        lease_confirm_fails: a.lease_confirm_fails - b.lease_confirm_fails,
-        ro_committed: a.ro_committed - b.ro_committed,
-        ro_retries: a.ro_retries - b.ro_retries,
-        peer_dead_aborts: a.peer_dead_aborts - b.peer_dead_aborts,
-        log_writes: a.log_writes - b.log_writes,
-        log_bytes: a.log_bytes - b.log_bytes,
-        log_done_waits: a.log_done_waits - b.log_done_waits,
-    }
-}
-
-fn htm_since(a: &drtm_htm::StatsSnapshot, b: &drtm_htm::StatsSnapshot) -> drtm_htm::StatsSnapshot {
-    drtm_htm::StatsSnapshot {
-        commits: a.commits - b.commits,
-        conflict_aborts: a.conflict_aborts - b.conflict_aborts,
-        capacity_aborts: a.capacity_aborts - b.capacity_aborts,
-        explicit_aborts: a.explicit_aborts - b.explicit_aborts,
-        fallbacks: a.fallbacks - b.fallbacks,
+drtm_htm::counter_set! {
+    /// Every counter layer of the system joined into one report.
+    ///
+    /// Take one before and one after a measured window and diff them with
+    /// [`StatsReport::since`] (every layer diffs together); `Display`
+    /// prints the breakdown the benchmark harnesses show alongside
+    /// throughput.
+    pub struct StatsReport {
+        /// Transaction-layer outcomes.
+        txn: TxnStatsSnapshot,
+        /// HTM-layer commits/aborts.
+        htm: drtm_htm::StatsSnapshot,
+        /// Cluster-wide RDMA verb counters.
+        rdma: CounterSnapshot,
+        /// Unified per-cause abort counts.
+        causes: CauseSnapshot,
+        /// Per-phase virtual-time / record-op breakdown.
+        phases: PhaseSnapshot,
     }
 }
 
 impl StatsReport {
-    /// Component-wise difference `self - earlier` (for a measured
-    /// window; every layer diffs together).
-    pub fn since(&self, earlier: &StatsReport) -> StatsReport {
-        StatsReport {
-            txn: txn_since(&self.txn, &earlier.txn),
-            htm: htm_since(&self.htm, &earlier.htm),
-            rdma: self.rdma.since(&earlier.rdma),
-            causes: self.causes.since(&earlier.causes),
-            phases: self.phases.since(&earlier.phases),
-        }
-    }
-
     /// Aborted attempts per committed transaction (0 when idle).
     pub fn aborts_per_commit(&self) -> f64 {
         if self.txn.committed == 0 {

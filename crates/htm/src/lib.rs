@@ -61,7 +61,7 @@ pub mod vtime;
 
 pub use exec::{ExecOutcome, Executor};
 pub use region::{Region, LINE_SIZE};
-pub use stats::{HtmStats, StatsSnapshot};
+pub use stats::{Counter, Counts, HtmStats, StatsSnapshot};
 pub use txn::{Abort, HtmConfig, HtmTxn};
 
 /// Error returned by region-level operations on malformed addresses.

@@ -1,35 +1,174 @@
-//! Commit/abort counters shared by workers and reported by the harnesses.
+//! The one counter mechanism every layer uses, and the HTM commit/abort
+//! counters.
+//!
+//! A counter set is declared once with
+//! [`counter_set!`](crate::counter_set): its single field list yields the
+//! live struct of relaxed atomics the hot path bumps, the `Copy` snapshot
+//! struct reports read, `snapshot()`, the windowed `since()` diff and a
+//! field-wise [`Sum`](std::iter::Sum) for aggregating instances. A field
+//! is a `u64`, an array of counters indexed by a dense enum (abort causes,
+//! phases), or another set. There is no `reset`: a window is
+//! `after.since(&before)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Aggregated HTM execution counters.
-///
-/// All fields are updated with relaxed atomics; the struct is intended to
-/// be shared behind an `Arc` by every worker of a simulated machine. The
-/// paper reports the capacity-abort rate and fallback rate in Table 6, so
-/// the counters distinguish abort causes.
-#[derive(Debug, Default)]
-pub struct HtmStats {
-    commits: AtomicU64,
-    conflict_aborts: AtomicU64,
-    capacity_aborts: AtomicU64,
-    explicit_aborts: AtomicU64,
-    fallbacks: AtomicU64,
+/// Counter values that diff and sum element-wise: `u64`, arrays of
+/// counters, and the snapshot structs declared with
+/// [`counter_set!`](crate::counter_set).
+pub trait Counts: Copy {
+    /// `self - earlier`, element-wise (for measuring a window).
+    fn since(&self, earlier: &Self) -> Self;
+    /// `self + other`, element-wise (for aggregating instances).
+    fn plus(&self, other: &Self) -> Self;
 }
 
-/// A point-in-time copy of [`HtmStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Successful `XEND`s.
-    pub commits: u64,
-    /// Aborts caused by data conflicts (including RDMA strong-atomicity).
-    pub conflict_aborts: u64,
-    /// Aborts caused by read/write-set capacity overflow.
-    pub capacity_aborts: u64,
-    /// Explicit `XABORT`s issued by the protocol.
-    pub explicit_aborts: u64,
-    /// Executions that gave up on HTM and took the fallback path.
-    pub fallbacks: u64,
+/// Counts with a live, shared form that the hot path bumps.
+pub trait Counter: Counts {
+    /// The live form: [`AtomicU64`]s bumped with relaxed `fetch_add`.
+    type Live;
+    /// Reads the live form (relaxed loads: consistent enough for stats).
+    fn load(live: &Self::Live) -> Self;
+}
+
+impl Counts for u64 {
+    fn since(&self, earlier: &u64) -> u64 {
+        self - earlier
+    }
+
+    fn plus(&self, other: &u64) -> u64 {
+        self + other
+    }
+}
+
+impl Counter for u64 {
+    type Live = AtomicU64;
+
+    fn load(live: &AtomicU64) -> u64 {
+        live.load(Ordering::Relaxed)
+    }
+}
+
+impl<T: Counts, const N: usize> Counts for [T; N] {
+    fn since(&self, earlier: &Self) -> Self {
+        std::array::from_fn(|i| self[i].since(&earlier[i]))
+    }
+
+    fn plus(&self, other: &Self) -> Self {
+        std::array::from_fn(|i| self[i].plus(&other[i]))
+    }
+}
+
+impl<T: Counter, const N: usize> Counter for [T; N] {
+    type Live = [T::Live; N];
+
+    fn load(live: &Self::Live) -> Self {
+        std::array::from_fn(|i| T::load(&live[i]))
+    }
+}
+
+/// Declares a counter set from one field list ([`HtmStats`] is one).
+///
+/// The live struct gets one private field per counter (`AtomicU64` for a
+/// `u64`, arrays of them for arrays) and `snapshot()`; the snapshot struct
+/// gets the same fields as public values, `since()` and `Sum`. The live
+/// struct must be as visible as the snapshot, whose [`Counter::Live`]
+/// names it. Without the `struct Live;` line only the snapshot side is
+/// declared: a report joining sets owned elsewhere.
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$live_meta:meta])*
+        $live_vis:vis struct $live:ident;
+        $(#[$snap_meta:meta])*
+        $snap_vis:vis struct $snap:ident {
+            $( $(#[$field_meta:meta])* $field:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$live_meta])*
+        #[derive(Debug, Default)]
+        $live_vis struct $live {
+            $( $field: <$ty as $crate::Counter>::Live, )*
+        }
+
+        impl $live {
+            /// Takes a snapshot of every counter.
+            pub fn snapshot(&self) -> $snap {
+                <$snap as $crate::Counter>::load(self)
+            }
+        }
+
+        impl $crate::Counter for $snap {
+            type Live = $live;
+
+            fn load(live: &$live) -> Self {
+                $snap { $( $field: <$ty as $crate::Counter>::load(&live.$field), )* }
+            }
+        }
+
+        $crate::counter_set! {
+            $(#[$snap_meta])*
+            $snap_vis struct $snap { $( $(#[$field_meta])* $field: $ty, )* }
+        }
+    };
+    (
+        $(#[$snap_meta:meta])*
+        $snap_vis:vis struct $snap:ident {
+            $( $(#[$field_meta:meta])* $field:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$snap_meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $snap_vis struct $snap {
+            $( $(#[$field_meta])* pub $field: $ty, )*
+        }
+
+        impl $crate::Counts for $snap {
+            fn since(&self, earlier: &Self) -> Self {
+                $snap { $( $field: $crate::Counts::since(&self.$field, &earlier.$field), )* }
+            }
+
+            fn plus(&self, other: &Self) -> Self {
+                $snap { $( $field: $crate::Counts::plus(&self.$field, &other.$field), )* }
+            }
+        }
+
+        impl $snap {
+            /// Component-wise difference `self - earlier` (for measuring a
+            /// window).
+            pub fn since(&self, earlier: &Self) -> Self {
+                $crate::Counts::since(self, earlier)
+            }
+        }
+
+        impl ::std::iter::Sum for $snap {
+            fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+                iter.fold(Self::default(), |a, b| $crate::Counts::plus(&a, &b))
+            }
+        }
+    };
+}
+
+counter_set! {
+    /// Aggregated HTM execution counters.
+    ///
+    /// All fields are updated with relaxed atomics; the struct is intended
+    /// to be shared behind an `Arc` by every worker of a simulated machine.
+    /// The paper reports the capacity-abort rate and fallback rate in
+    /// Table 6, so the counters distinguish abort causes.
+    pub struct HtmStats;
+    /// A point-in-time copy of [`HtmStats`].
+    pub struct StatsSnapshot {
+        /// Successful `XEND`s.
+        commits: u64,
+        /// Aborts caused by data conflicts (including RDMA strong-atomicity).
+        conflict_aborts: u64,
+        /// Aborts caused by read/write-set capacity overflow.
+        capacity_aborts: u64,
+        /// Explicit `XABORT`s issued by the protocol.
+        explicit_aborts: u64,
+        /// Executions that gave up on HTM and took the fallback path.
+        fallbacks: u64,
+    }
 }
 
 impl StatsSnapshot {
@@ -75,32 +214,44 @@ impl HtmStats {
     pub fn record_fallback(&self) {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Takes a consistent-enough snapshot of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            conflict_aborts: self.conflict_aborts.load(Ordering::Relaxed),
-            capacity_aborts: self.capacity_aborts.load(Ordering::Relaxed),
-            explicit_aborts: self.explicit_aborts.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.commits.store(0, Ordering::Relaxed);
-        self.conflict_aborts.store(0, Ordering::Relaxed);
-        self.capacity_aborts.store(0, Ordering::Relaxed);
-        self.explicit_aborts.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Abort;
+
+    counter_set! {
+            struct Probe;
+        struct ProbeSnapshot {
+            a: u64,
+            b: u64,
+            per_kind: [u64; 3],
+        }
+    }
+
+    #[test]
+    fn mechanism_covers_every_field() {
+        let p = Probe::default();
+        let bump = |p: &Probe, k: u64| {
+            p.a.fetch_add(k, Ordering::Relaxed);
+            p.b.fetch_add(2 * k, Ordering::Relaxed);
+            for (i, c) in p.per_kind.iter().enumerate() {
+                c.fetch_add((3 + i as u64) * k, Ordering::Relaxed);
+            }
+        };
+        bump(&p, 1);
+        let before = p.snapshot();
+        assert_eq!(before, ProbeSnapshot { a: 1, b: 2, per_kind: [3, 4, 5] });
+        bump(&p, 10);
+        let after = p.snapshot();
+        assert_eq!(after, ProbeSnapshot { a: 11, b: 22, per_kind: [33, 44, 55] });
+        assert_eq!(after.since(&before), ProbeSnapshot { a: 10, b: 20, per_kind: [30, 40, 50] });
+        assert_eq!(after.since(&after), ProbeSnapshot::default());
+        let total: ProbeSnapshot = [before, after, after].into_iter().sum();
+        assert_eq!(total, ProbeSnapshot { a: 23, b: 46, per_kind: [69, 92, 115] });
+        assert_eq!(std::iter::empty::<ProbeSnapshot>().sum::<ProbeSnapshot>(), Default::default());
+    }
 
     #[test]
     fn counters_and_rates() {
@@ -116,8 +267,6 @@ mod tests {
         assert_eq!(snap.total_aborts(), 3);
         assert_eq!(snap.fallbacks, 1);
         assert!((snap.abort_rate() - 0.6).abs() < 1e-9);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

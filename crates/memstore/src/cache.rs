@@ -45,23 +45,26 @@ use crate::cluster_hash::{ClusterHash, ScanHit, BUCKET_BYTES};
 use crate::slot::{Slot, SlotType};
 use crate::ASSOC;
 
-/// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered entirely from cache (zero RDMA READs).
-    pub hits: u64,
-    /// Lookups that fetched at least one bucket.
-    pub misses: u64,
-    /// Bucket fetches performed (= RDMA READs spent by the cache).
-    pub fetches: u64,
-    /// Explicit invalidations (stale incarnation detected by the caller).
-    pub invalidations: u64,
-    /// Invalidations forced by a range migration's cutover (the resharder
-    /// clearing locations that now point at the old owner).
-    pub migration_invalidations: u64,
-    /// Lookups the router answered remotely *despite* a warm entry
-    /// because the key's range was mid-cutover (cache bypassed).
-    pub forced_misses: u64,
+drtm_htm::counter_set! {
+    /// Lock-free hit/miss counters, shared by all reader threads.
+    pub struct CacheCounters;
+    /// Hit/miss counters for one cache.
+    pub struct CacheStats {
+        /// Lookups answered entirely from cache (zero RDMA READs).
+        hits: u64,
+        /// Lookups that fetched at least one bucket.
+        misses: u64,
+        /// Bucket fetches performed (= RDMA READs spent by the cache).
+        fetches: u64,
+        /// Explicit invalidations (stale incarnation detected by the caller).
+        invalidations: u64,
+        /// Invalidations forced by a range migration's cutover (the resharder
+        /// clearing locations that now point at the old owner).
+        migration_invalidations: u64,
+        /// Lookups the router answered remotely *despite* a warm entry
+        /// because the key's range was mid-cutover (cache bypassed).
+        forced_misses: u64,
+    }
 }
 
 impl CacheStats {
@@ -73,39 +76,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-}
-
-/// Lock-free hit/miss counters, shared by all reader threads.
-#[derive(Debug, Default)]
-struct AtomicCacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fetches: AtomicU64,
-    invalidations: AtomicU64,
-    migration_invalidations: AtomicU64,
-    forced_misses: AtomicU64,
-}
-
-impl AtomicCacheStats {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            fetches: self.fetches.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            migration_invalidations: self.migration_invalidations.load(Ordering::Relaxed),
-            forced_misses: self.forced_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.fetches.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.migration_invalidations.store(0, Ordering::Relaxed);
-        self.forced_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -225,7 +195,7 @@ pub struct LocationCache {
     /// Shard `s` owns main ways `w` and pool buckets `p` with
     /// `w & shard_mask == s` / `p & shard_mask == s`.
     shards: Box<[Mutex<Vec<usize>>]>,
-    stats: AtomicCacheStats,
+    stats: CacheCounters,
     main_mask: usize,
     shard_mask: usize,
 }
@@ -246,7 +216,7 @@ impl LocationCache {
             main: (0..main_slots).map(|_| SeqBucket::new()).collect(),
             pool: (0..pool_slots).map(|_| SeqBucket::new()).collect(),
             shards,
-            stats: AtomicCacheStats::default(),
+            stats: CacheCounters::default(),
             main_mask: main_slots - 1,
             shard_mask: nshards - 1,
         }
@@ -278,11 +248,6 @@ impl LocationCache {
     /// Returns a copy of the hit/miss counters (lock-free).
     pub fn stats(&self) -> CacheStats {
         self.stats.snapshot()
-    }
-
-    /// Resets the hit/miss counters (not the cached data).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     fn shard(&self, way: usize) -> &Mutex<Vec<usize>> {
@@ -813,7 +778,7 @@ struct CachedAddr {
 pub struct AddrCache {
     cells: Box<[Mutex<Option<CachedAddr>>]>,
     mask: usize,
-    stats: AtomicCacheStats,
+    stats: CacheCounters,
 }
 
 impl AddrCache {
@@ -824,7 +789,7 @@ impl AddrCache {
         AddrCache {
             cells: (0..cells).map(|_| Mutex::new(None)).collect(),
             mask: cells - 1,
-            stats: AtomicCacheStats::default(),
+            stats: CacheCounters::default(),
         }
     }
 
@@ -886,11 +851,6 @@ impl AddrCache {
     /// Returns a copy of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         self.stats.snapshot()
-    }
-
-    /// Resets the hit/miss counters (not the cached data).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 }
 
@@ -1076,7 +1036,7 @@ mod tests {
         for k in 0..256u64 {
             cache.try_lookup(&qp, &table, k).unwrap().unwrap();
         }
-        cache.reset_stats();
+        let warm = cache.stats();
         std::thread::scope(|s| {
             for t in 0..4 {
                 let cache = &cache;
@@ -1093,7 +1053,7 @@ mod tests {
                 });
             }
         });
-        let s = cache.stats();
+        let s = cache.stats().since(&warm);
         assert_eq!(s.hits, 4000);
         assert_eq!(s.misses, 0);
     }

@@ -47,7 +47,7 @@
 //! checks conservation and zero leaked locks at both armed sites
 //! ([`MIGRATE_MID_COPY_SITE`], [`MIGRATE_BEFORE_CUTOVER_SITE`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -464,17 +464,20 @@ impl RangeMap {
     }
 }
 
-/// Counters of one [`Resharder`] (monotonic across migrations).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReshardStats {
-    /// Completed migrations.
-    pub migrations: u64,
-    /// Keys moved (bulk copy + delta).
-    pub keys_moved: u64,
-    /// Bytes moved over the fabric by copy and delta passes.
-    pub bytes_moved: u64,
-    /// Cache entries dropped at cutover (sum over registered caches).
-    pub cache_invalidations: u64,
+drtm_htm::counter_set! {
+    /// Live migration counters of one [`Resharder`].
+    pub struct ReshardCounters;
+    /// Counters of one [`Resharder`] (monotonic across migrations).
+    pub struct ReshardStats {
+        /// Completed migrations.
+        migrations: u64,
+        /// Keys moved (bulk copy + delta).
+        keys_moved: u64,
+        /// Bytes moved over the fabric by copy and delta passes.
+        bytes_moved: u64,
+        /// Cache entries dropped at cutover (sum over registered caches).
+        cache_invalidations: u64,
+    }
 }
 
 /// Report of one completed migration.
@@ -518,10 +521,7 @@ pub struct Resharder {
     exec: Executor,
     caches: RwLock<Vec<Arc<AddrCache>>>,
     phase_hook: RwLock<Option<PhaseHook>>,
-    migrations: AtomicU64,
-    keys_moved: AtomicU64,
-    bytes_moved: AtomicU64,
-    cache_invalidations: AtomicU64,
+    stats: ReshardCounters,
 }
 
 impl std::fmt::Debug for Resharder {
@@ -560,10 +560,7 @@ impl Resharder {
             exec,
             caches: RwLock::new(Vec::new()),
             phase_hook: RwLock::new(None),
-            migrations: AtomicU64::new(0),
-            keys_moved: AtomicU64::new(0),
-            bytes_moved: AtomicU64::new(0),
-            cache_invalidations: AtomicU64::new(0),
+            stats: ReshardCounters::default(),
         }
     }
 
@@ -609,12 +606,7 @@ impl Resharder {
 
     /// Returns a copy of the migration counters.
     pub fn stats(&self) -> ReshardStats {
-        ReshardStats {
-            migrations: self.migrations.load(Ordering::Relaxed),
-            keys_moved: self.keys_moved.load(Ordering::Relaxed),
-            bytes_moved: self.bytes_moved.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Migrates `[lo, hi]` from its current owner to `dst`, driven from
@@ -734,7 +726,8 @@ impl Resharder {
             // find either nothing on src (dual-read forwards to dst) or
             // the bumped incarnation.
             for cache in self.caches.read().iter() {
-                self.cache_invalidations
+                self.stats
+                    .cache_invalidations
                     .fetch_add(cache.invalidate_range(e.key, e.key), Ordering::Relaxed);
             }
             self.phase(MigratePhase::KeyPurged(e.key));
@@ -743,9 +736,9 @@ impl Resharder {
         // Phase 4: publish. New resolutions route to dst; writers that
         // aborted Migrated during cutover retry against the new owner.
         let epoch = self.map.publish(lo, hi);
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-        self.keys_moved.fetch_add(purged as u64, Ordering::Relaxed);
-        self.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.migrations.fetch_add(1, Ordering::Relaxed);
+        self.stats.keys_moved.fetch_add(purged as u64, Ordering::Relaxed);
+        self.stats.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
         Ok(MigrationReport { copied, purged, recopied, bytes, epoch })
     }
 
@@ -805,9 +798,11 @@ impl Resharder {
             from_shard.delete(&self.exec, from_region, row.key);
         }
         for cache in self.caches.read().iter() {
-            self.cache_invalidations.fetch_add(cache.invalidate_range(lo, hi), Ordering::Relaxed);
+            self.stats
+                .cache_invalidations
+                .fetch_add(cache.invalidate_range(lo, hi), Ordering::Relaxed);
         }
-        self.keys_moved.fetch_add(moved, Ordering::Relaxed);
+        self.stats.keys_moved.fetch_add(moved, Ordering::Relaxed);
         moved
     }
 }

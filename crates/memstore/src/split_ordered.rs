@@ -125,17 +125,20 @@ impl ElasticHashDesc {
     }
 }
 
-/// Resize/lookup counters of one [`ElasticHash`] (see
-/// [`ElasticHash::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElasticStats {
-    /// Completed doublings of the bucket array.
-    pub grows: u64,
-    /// Remote lookups served.
-    pub lookups: u64,
-    /// Parent-bucket fallback hops taken by remote lookups (the resize
-    /// cost the perf ledger gates on).
-    pub extra_hops: u64,
+drtm_htm::counter_set! {
+    /// Live resize/lookup counters of one [`ElasticHash`].
+    pub struct ElasticCounters;
+    /// Resize/lookup counters of one [`ElasticHash`] (see
+    /// [`ElasticHash::stats`]).
+    pub struct ElasticStats {
+        /// Completed doublings of the bucket array.
+        grows: u64,
+        /// Remote lookups served.
+        lookups: u64,
+        /// Parent-bucket fallback hops taken by remote lookups (the resize
+        /// cost the perf ledger gates on).
+        extra_hops: u64,
+    }
 }
 
 impl ElasticStats {
@@ -169,9 +172,7 @@ pub struct ElasticHash {
     count: AtomicU64,
     /// Serialises doublings; never taken by readers.
     grow_lock: Mutex<()>,
-    grows: AtomicU64,
-    lookups: AtomicU64,
-    extra_hops: AtomicU64,
+    stats: ElasticCounters,
 }
 
 impl ElasticHash {
@@ -221,9 +222,7 @@ impl ElasticHash {
             size_hint: AtomicU64::new(init_buckets as u64),
             count: AtomicU64::new(0),
             grow_lock: Mutex::new(()),
-            grows: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            extra_hops: AtomicU64::new(0),
+            stats: ElasticCounters::default(),
         }
     }
 
@@ -254,11 +253,7 @@ impl ElasticHash {
 
     /// Returns a copy of the resize/lookup counters.
     pub fn stats(&self) -> ElasticStats {
-        ElasticStats {
-            grows: self.grows.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            extra_hops: self.extra_hops.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Doubles the published bucket count. Returns `false` when the
@@ -276,7 +271,7 @@ impl ElasticHash {
         let prev = region.cas_u64_nt(self.desc.size_off(), cur, cur * 2);
         debug_assert_eq!(prev, cur, "size word is only written under grow_lock");
         self.size_hint.store(cur * 2, Ordering::Release);
-        self.grows.fetch_add(1, Ordering::Relaxed);
+        self.stats.grows.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -622,7 +617,7 @@ impl ElasticHash {
     /// of the real one, which still contains the key. A walk torn by a
     /// concurrent unlink (split-order keys going backwards) restarts.
     pub fn try_remote_lookup(&self, qp: &Qp, key: u64) -> Result<LookupResult, FabricError> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.stats.lookups.fetch_add(1, Ordering::Relaxed);
         let node = self.desc.node;
         let size = qp.try_read_u64(GlobalAddr::new(node, self.desc.size_off()))?.max(1) as usize;
         let mut reads = 1u32;
@@ -637,7 +632,7 @@ impl ElasticHash {
                     sent = d as usize;
                     break;
                 }
-                self.extra_hops.fetch_add(1, Ordering::Relaxed);
+                self.stats.extra_hops.fetch_add(1, Ordering::Relaxed);
                 bucket = so_parent(bucket);
             }
             let mut cur = sent;

@@ -1,51 +1,39 @@
 //! Cluster-wide operation counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Counts of simulated network operations issued on a [`crate::Cluster`].
-///
-/// Table 4 of the paper reports the *average number of RDMA READs per
-/// lookup* for three hash-table designs; the benchmark harness computes
-/// it as `snapshot().reads / lookups` around the measured section.
-#[derive(Debug, Default)]
-pub struct OpCounters {
-    reads: AtomicU64,
-    read_bytes: AtomicU64,
-    writes: AtomicU64,
-    write_bytes: AtomicU64,
-    cas: AtomicU64,
-    faa: AtomicU64,
-    sends: AtomicU64,
-    send_bytes: AtomicU64,
-    doorbells: AtomicU64,
-    fabric_ns: AtomicU64,
-}
-
-/// Point-in-time copy of [`OpCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// One-sided READ verbs issued.
-    pub reads: u64,
-    /// Total bytes fetched by READs.
-    pub read_bytes: u64,
-    /// One-sided WRITE verbs issued.
-    pub writes: u64,
-    /// Total bytes stored by WRITEs.
-    pub write_bytes: u64,
-    /// One-sided compare-and-swap verbs issued.
-    pub cas: u64,
-    /// One-sided fetch-and-add verbs issued.
-    pub faa: u64,
-    /// SEND verbs issued.
-    pub sends: u64,
-    /// Total bytes carried by SENDs.
-    pub send_bytes: u64,
-    /// Doorbells rung: batches of outbound ops posted together. With
-    /// batching disabled this equals the op count (one ring per op).
-    pub doorbells: u64,
-    /// Total virtual nanoseconds charged for fabric operations (after
-    /// doorbell amortisation).
-    pub fabric_ns: u64,
+drtm_htm::counter_set! {
+    /// Counts of simulated network operations issued on a [`crate::Cluster`].
+    ///
+    /// Table 4 of the paper reports the *average number of RDMA READs per
+    /// lookup* for three hash-table designs; the benchmark harness computes
+    /// it as `snapshot().reads / lookups` around the measured section.
+    pub struct OpCounters;
+    /// Point-in-time copy of [`OpCounters`].
+    pub struct CounterSnapshot {
+        /// One-sided READ verbs issued.
+        reads: u64,
+        /// Total bytes fetched by READs.
+        read_bytes: u64,
+        /// One-sided WRITE verbs issued.
+        writes: u64,
+        /// Total bytes stored by WRITEs.
+        write_bytes: u64,
+        /// One-sided compare-and-swap verbs issued.
+        cas: u64,
+        /// One-sided fetch-and-add verbs issued.
+        faa: u64,
+        /// SEND verbs issued.
+        sends: u64,
+        /// Total bytes carried by SENDs.
+        send_bytes: u64,
+        /// Doorbells rung: batches of outbound ops posted together. With
+        /// batching disabled this equals the op count (one ring per op).
+        doorbells: u64,
+        /// Total virtual nanoseconds charged for fabric operations (after
+        /// doorbell amortisation).
+        fabric_ns: u64,
+    }
 }
 
 impl CounterSnapshot {
@@ -75,22 +63,6 @@ impl CounterSnapshot {
             return 0.0;
         }
         self.fabric_ns as f64 / self.fabric_ops() as f64
-    }
-
-    /// Component-wise difference `self - earlier` (for measuring a window).
-    pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            reads: self.reads - earlier.reads,
-            read_bytes: self.read_bytes - earlier.read_bytes,
-            writes: self.writes - earlier.writes,
-            write_bytes: self.write_bytes - earlier.write_bytes,
-            cas: self.cas - earlier.cas,
-            faa: self.faa - earlier.faa,
-            sends: self.sends - earlier.sends,
-            send_bytes: self.send_bytes - earlier.send_bytes,
-            doorbells: self.doorbells - earlier.doorbells,
-            fabric_ns: self.fabric_ns - earlier.fabric_ns,
-        }
     }
 }
 
@@ -130,36 +102,6 @@ impl OpCounters {
     pub(crate) fn record_fabric_ns(&self, ns: u64) {
         self.fabric_ns.fetch_add(ns, Ordering::Relaxed);
     }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            read_bytes: self.read_bytes.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            write_bytes: self.write_bytes.load(Ordering::Relaxed),
-            cas: self.cas.load(Ordering::Relaxed),
-            faa: self.faa.load(Ordering::Relaxed),
-            sends: self.sends.load(Ordering::Relaxed),
-            send_bytes: self.send_bytes.load(Ordering::Relaxed),
-            doorbells: self.doorbells.load(Ordering::Relaxed),
-            fabric_ns: self.fabric_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.read_bytes.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.write_bytes.store(0, Ordering::Relaxed);
-        self.cas.store(0, Ordering::Relaxed);
-        self.faa.store(0, Ordering::Relaxed);
-        self.sends.store(0, Ordering::Relaxed);
-        self.send_bytes.store(0, Ordering::Relaxed);
-        self.doorbells.store(0, Ordering::Relaxed);
-        self.fabric_ns.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -185,8 +127,6 @@ mod tests {
         assert_eq!(d.reads, 1);
         assert_eq!(d.read_bytes, 8);
         assert_eq!(d.writes, 0);
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
     }
 
     #[test]

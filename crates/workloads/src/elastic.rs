@@ -317,14 +317,7 @@ impl ElasticKv {
 
     /// Sum of per-shard resize counters (grows, lookups, extra hops).
     pub fn elastic_stats(&self) -> ElasticStats {
-        let mut out = ElasticStats::default();
-        for s in self.shared.shards.read().expect("shard lock poisoned").iter() {
-            let st = s.stats();
-            out.grows += st.grows;
-            out.lookups += st.lookups;
-            out.extra_hops += st.extra_hops;
-        }
-        out
+        self.shared.shards.read().expect("shard lock poisoned").iter().map(|s| s.stats()).sum()
     }
 
     /// Sum of every key's value — the conservation invariant. Call on a
